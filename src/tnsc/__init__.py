@@ -28,6 +28,7 @@ from .feasibility import (
     merge_index,
     normalize_falling,
     normalize_rising,
+    normalize_trait,
     rank,
 )
 from .model import (
@@ -52,6 +53,7 @@ from .model import (
     request_from_dict,
     topology_to_dict,
     validate_topology,
+    weights_from_dict,
 )
 from .pathfind import (
     DisjointnessMode,

@@ -7,14 +7,19 @@ diagnostics), 1 for parse or validation failures, 2 for internal errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ParseError, TnscError
-from .model import bounds_from_dict, request_from_dict, validate_topology
+from .model import (
+    bounds_from_dict,
+    request_from_dict,
+    validate_topology,
+    weights_from_dict,
+)
 from .pathfind import DisjointnessMode, k_disjoint_paths
 from .scenario import (
     evaluate,
+    load_json,
     load_scenario,
     rank_rows,
     report_to_json,
@@ -30,17 +35,6 @@ _MODE_FLAGS = {
 }
 
 
-def _load_json(path: str, what: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as err:
-        raise ParseError(path, str(err)) from None
-    except json.JSONDecodeError as err:
-        raise ParseError(path, f"line {err.lineno} column {err.colno}: {err.msg}") \
-            from None
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -50,18 +44,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_table_inputs(args):
-    raw_requests = _load_json(args.requests, "requests")
+    raw_requests = load_json(args.requests)
     if not isinstance(raw_requests, list):
         raise ParseError(args.requests, "requests file must contain a list")
     requests = [request_from_dict(entry) for entry in raw_requests]
-    bounds = bounds_from_dict(_load_json(args.bounds, "bounds"))
-    topology = None
+    bounds = bounds_from_dict(load_json(args.bounds))
+    topology = weights = None
     if args.topology:
-        topology = validate_topology(_load_json(args.topology, "topology"))
-    weights = None
+        topology = validate_topology(load_json(args.topology))
     if args.weights:
-        weights = {str(k): float(v)
-                   for k, v in _load_json(args.weights, "weights").items()}
+        weights = weights_from_dict(load_json(args.weights), args.weights)
     return requests, bounds, topology, weights
 
 
@@ -77,7 +69,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    topology = validate_topology(_load_json(args.topology, "topology"))
+    topology = validate_topology(load_json(args.topology))
     paths = k_disjoint_paths(topology, args.src, args.dst, args.k,
                              _MODE_FLAGS[args.mode])
     _emit("".join(",".join(path.nodes) + "\n" for path in paths), args.out)

@@ -25,6 +25,16 @@ class TnscError(Exception):
 # ---------------------------------------------------------------------------
 
 
+class ValidationError(TnscError):
+    def __init__(self, element: str, message: str):
+        super().__init__(f"{element}: {message}")
+        self.element = element
+        self.message = message
+
+    def detail(self) -> dict:
+        return {"element": self.element, "message": self.message}
+
+
 class DanglingEndpoint(TnscError):
     """A link or device references a node absent from the node set."""
 
@@ -112,9 +122,12 @@ class OutOfRange(TnscError):
         return out
 
 
-class NonPositiveWeight(TnscError):
+class NonPositiveWeight(ValidationError):
+    """A merge weight is not a finite number greater than 0."""
+
     def __init__(self, dimension: str, weight: float):
-        super().__init__(f"weight for {dimension!r} must be positive, got {weight!r}")
+        super().__init__(dimension,
+                         f"weight must be a finite number > 0, got {weight!r}")
         self.dimension = dimension
         self.weight = weight
 
@@ -122,9 +135,11 @@ class NonPositiveWeight(TnscError):
         return {"dimension": self.dimension, "weight": self.weight}
 
 
-class UnknownDimension(TnscError):
+class UnknownDimension(ValidationError):
+    """A weight or vector names a dimension outside the fixed three."""
+
     def __init__(self, dimension: str):
-        super().__init__(f"unknown vector dimension {dimension!r}")
+        super().__init__(dimension, "unknown vector dimension")
         self.dimension = dimension
 
     def detail(self) -> dict:
@@ -262,13 +277,3 @@ class ParseError(TnscError):
 
     def detail(self) -> dict:
         return {"source": self.source, "message": self.message}
-
-
-class ValidationError(TnscError):
-    def __init__(self, element: str, message: str):
-        super().__init__(f"{element}: {message}")
-        self.element = element
-        self.message = message
-
-    def detail(self) -> dict:
-        return {"element": self.element, "message": self.message}

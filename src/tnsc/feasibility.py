@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonPositiveWeight, OutOfRange, UnknownDimension
-from .model import DIMENSIONS, SliceRequest, TraitBounds
+from .model import DIMENSIONS, Bound, SliceRequest, TraitBounds, weights_from_dict
 
 
 def _check_range(r: int, l: int, h: int) -> None:
@@ -97,6 +97,15 @@ class DimensionComparison(str, Enum):
     EQUAL = "equal"
 
 
+def normalize_trait(dimension: str, raw: int, bound: Bound) -> TraitValue:
+    """Normalize one numeric trait against its range; OutOfRange propagates."""
+    if bound.h is None:
+        raise ValueError(f"bounds for {dimension!r} are unresolved (derived mode "
+                         "requires derive_bounds against a topology)")
+    value = normalize_falling(raw, bound.l, bound.h)
+    return TraitValue(raw=raw, l=bound.l, h=bound.h, value=value)
+
+
 def build_vector(request: SliceRequest, bounds: TraitBounds) -> FeasibilityVector:
     """Normalize the request's numeric traits against ``bounds``.
 
@@ -104,17 +113,11 @@ def build_vector(request: SliceRequest, bounds: TraitBounds) -> FeasibilityVecto
     """
     numeric: dict[str, TraitValue] = {}
     for dim in DIMENSIONS:
-        bound = bounds.bound(dim)
-        if bound.h is None:
-            raise ValueError(f"bounds for {dim!r} are unresolved (derived mode "
-                             "requires derive_bounds against a topology)")
-        raw = request.trait(dim)
         try:
-            value = normalize_falling(raw, bound.l, bound.h)
+            numeric[dim] = normalize_trait(dim, request.trait(dim), bounds.bound(dim))
         except OutOfRange as err:
             raise OutOfRange(err.r, err.l, err.h, dimension=dim,
                              slice_id=request.id) from None
-        numeric[dim] = TraitValue(raw=raw, l=bound.l, h=bound.h, value=value)
     return FeasibilityVector(
         slice_id=request.id,
         boolean_traits={"control": request.control},
@@ -157,12 +160,7 @@ def merge_index(vector: FeasibilityVector,
     """
     resolved = {dim: 1.0 for dim in DIMENSIONS}
     if weights:
-        for dim, w in weights.items():
-            if dim not in resolved:
-                raise UnknownDimension(dim)
-            if w <= 0:
-                raise NonPositiveWeight(dim, w)
-            resolved[dim] = float(w)
+        resolved.update(weights_from_dict(weights, vector.slice_id))
     value = harmonic_index(
         [vector.numeric_traits[dim].value for dim in DIMENSIONS],
         [resolved[dim] for dim in DIMENSIONS],

@@ -7,10 +7,11 @@ between threads and makes scenario replay deterministic.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
 
 from .errors import (
     DanglingEndpoint,
@@ -18,6 +19,9 @@ from .errors import (
     InvalidCapacity,
     NoDevice,
     NoMatchingPorts,
+    NonPositiveWeight,
+    TnscError,
+    UnknownDimension,
     ValidationError,
 )
 
@@ -147,11 +151,7 @@ class SliceRequest:
         if self.calendar_slots < DIMENSION_FLOORS["data_plane"]:
             raise ValidationError(self.id, "calendar_slots must be at least 1")
         if self.weights is not None:
-            unknown = set(self.weights) - set(DIMENSIONS)
-            if unknown:
-                raise ValidationError(
-                    self.id, f"unknown weight dimensions: {sorted(unknown)}"
-                )
+            object.__setattr__(self, "weights", weights_from_dict(self.weights, self.id))
 
     def trait(self, dimension: str) -> int:
         if dimension == "topology":
@@ -322,34 +322,66 @@ def _as_int(value, element: str, what: str) -> int:
     return value
 
 
+def _as_object(value, element: str, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValidationError(element, f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _as_list(value, element: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(element, f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _as_name(value, element: str, what: str) -> str:
+    if not isinstance(value, str) or value == "":
+        raise ValidationError(element, f"invalid {what} {value!r}")
+    return value
+
+
+def _as_choice(kind: type[Enum], value, element: str, what: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValidationError(element, f"unknown {what} {value!r}") from None
+
+
+def _as_positive(value, error: type[TnscError], *args) -> float:
+    """Read a finite int or float (not a bool) greater than 0 as a float;
+    otherwise raise ``error(*args)``, so each site keeps its own reason."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            if 0 < number < math.inf:  # false for NaN too
+                return number
+    raise error(*args)
+
+
 def validate_topology(raw: Mapping) -> NetworkTopology:
     """Validate a raw topology description and return the immutable model.
 
     Checks run in input order and the first violated invariant wins, so the
     raised error always names one offending element.
     """
-    if not isinstance(raw, Mapping):
-        raise ValidationError("topology", "topology description must be an object")
-
-    node_list = raw.get("nodes")
-    if not isinstance(node_list, list) or not node_list:
-        raise ValidationError("topology", "nodes must be a non-empty list")
+    raw = _as_object(raw, "topology", "topology description")
+    node_list = _as_list(raw.get("nodes"), "topology", "nodes")
+    _require(node_list, ValidationError("topology", "nodes must not be empty"))
     nodes: set[str] = set()
     for node in node_list:
-        _require(isinstance(node, str) and node != "",
-                 ValidationError("topology", f"invalid node id {node!r}"))
+        node = _as_name(node, "topology", "node id")
         _require(node not in nodes, DuplicateId(node))
         nodes.add(node)
 
     links: list[Link] = []
     seen_link_ids: set[str] = set()
     seen_pairs: set[frozenset[str]] = set()
-    for entry in raw.get("links", []):
-        if not isinstance(entry, Mapping):
-            raise ValidationError("links", f"link entry must be an object: {entry!r}")
-        link_id = entry.get("id")
-        _require(isinstance(link_id, str) and link_id != "",
-                 ValidationError("links", f"invalid link id {link_id!r}"))
+    for entry in _as_list(raw.get("links", []), "topology", "links"):
+        entry = _as_object(entry, "links", "link entry")
+        link_id = _as_name(entry.get("id"), "links", "link id")
         _require(link_id not in seen_link_ids, DuplicateId(link_id))
         a, b = entry.get("a"), entry.get("b")
         for endpoint in (a, b):
@@ -362,48 +394,38 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
         capacity = entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY)
         capacity = _as_int(capacity, link_id, "slot_capacity")
         _require(capacity >= 1, InvalidCapacity(link_id, "slot_capacity must be >= 1"))
-        gbps = entry.get("slot_gbps", DEFAULT_SLOT_GBPS)
-        _require(isinstance(gbps, (int, float)) and not isinstance(gbps, bool)
-                 and gbps > 0,
-                 InvalidCapacity(link_id, "slot_gbps must be positive"))
-        srlgs = entry.get("srlgs", [])
-        if not isinstance(srlgs, list):
-            raise ValidationError(link_id, "srlgs must be a list")
+        gbps = _as_positive(entry.get("slot_gbps", DEFAULT_SLOT_GBPS), InvalidCapacity,
+                            link_id, "slot_gbps must be a finite number > 0")
+        srlgs = _as_list(entry.get("srlgs", []), link_id, "srlgs")
         for tag in srlgs:
-            _require(not isinstance(tag, bool) and isinstance(tag, int) and tag >= 0,
+            _require(_as_int(tag, link_id, "srlg tag") >= 0,
                      ValidationError(link_id, f"srlg tags must be >= 0, got {tag!r}"))
         seen_link_ids.add(link_id)
         seen_pairs.add(pair)
         links.append(Link(id=link_id, a=a, b=b, srlgs=frozenset(srlgs),
-                          slot_capacity=capacity, slot_gbps=float(gbps)))
+                          slot_capacity=capacity, slot_gbps=gbps))
 
     devices: list[DeviceProfile] = []
     seen_device_nodes: set[str] = set()
-    for entry in raw.get("devices", []):
-        if not isinstance(entry, Mapping):
-            raise ValidationError("devices", f"device entry must be an object: {entry!r}")
+    for entry in _as_list(raw.get("devices", []), "topology", "devices"):
+        entry = _as_object(entry, "devices", "device entry")
         node = entry.get("node")
         _require(isinstance(node, str) and node in nodes, DanglingEndpoint(str(node)))
         _require(node not in seen_device_nodes, DuplicateId(node))
         groups: list[PortGroup] = []
         seen_kinds: set[tuple[str, float]] = set()
-        for port in entry.get("ports", []):
-            if not isinstance(port, Mapping):
-                raise ValidationError(node, f"port group must be an object: {port!r}")
-            port_type = port.get("type")
-            _require(isinstance(port_type, str) and port_type != "",
-                     ValidationError(node, f"invalid port type {port_type!r}"))
-            gbps = port.get("gbps")
-            _require(isinstance(gbps, (int, float)) and not isinstance(gbps, bool)
-                     and gbps > 0,
-                     InvalidCapacity(f"{node}:{port_type}", "port gbps must be positive"))
-            count = _as_int(port.get("count"), f"{node}:{port_type}", "port count")
-            _require(count >= 1,
-                     InvalidCapacity(f"{node}:{port_type}", "port count must be >= 1"))
-            kind = (port_type, float(gbps))
-            _require(kind not in seen_kinds, DuplicateId(f"{node}:{port_type}@{gbps:g}"))
+        for port in _as_list(entry.get("ports", []), node, "ports"):
+            port = _as_object(port, node, "port group")
+            port_type = _as_name(port.get("type"), node, "port type")
+            where = f"{node}:{port_type}"
+            gbps = _as_positive(port.get("gbps"), InvalidCapacity, where,
+                                "port gbps must be a finite number > 0")
+            count = _as_int(port.get("count"), where, "port count")
+            _require(count >= 1, InvalidCapacity(where, "port count must be >= 1"))
+            kind = (port_type, gbps)
+            _require(kind not in seen_kinds, DuplicateId(f"{where}@{gbps:g}"))
             seen_kinds.add(kind)
-            groups.append(PortGroup(port_type=port_type, gbps=float(gbps), count=count))
+            groups.append(PortGroup(port_type=port_type, gbps=gbps, count=count))
         seen_device_nodes.add(node)
         devices.append(DeviceProfile(node=node, port_groups=tuple(groups)))
 
@@ -442,61 +464,54 @@ def topology_to_dict(topology: NetworkTopology) -> dict:
 
 def request_from_dict(raw: Mapping) -> SliceRequest:
     """Parse one slice request from its external JSON shape."""
-    if not isinstance(raw, Mapping):
-        raise ValidationError("request", f"request must be an object: {raw!r}")
-    rid = raw.get("id")
-    if not isinstance(rid, str) or rid == "":
-        raise ValidationError("request", f"invalid request id {rid!r}")
-    ports = raw.get("client_ports")
-    if not isinstance(ports, Mapping):
-        raise ValidationError(rid, "client_ports must be an object")
-    for key in ("src", "dst"):
-        if not isinstance(raw.get(key), str):
-            raise ValidationError(rid, f"{key} must be a node id")
+    raw = _as_object(raw, "request", "request")
+    rid = _as_name(raw.get("id"), "request", "request id")
+    ports = _as_object(raw.get("client_ports"), rid, "client_ports")
     control = raw.get("control", False)
     if not isinstance(control, bool):
         raise ValidationError(rid, "control must be a boolean")
-    weights = raw.get("weights")
-    if weights is not None:
-        if not isinstance(weights, Mapping):
-            raise ValidationError(rid, "weights must be an object")
-        weights = {str(k): float(v) for k, v in weights.items()}
-    gbps = ports.get("gbps")
-    if not isinstance(gbps, (int, float)) or isinstance(gbps, bool) or gbps <= 0:
-        raise ValidationError(rid, "client_ports.gbps must be positive")
     return SliceRequest(
         id=rid,
-        src=raw["src"],
-        dst=raw["dst"],
+        src=_as_name(raw.get("src"), rid, "src"),
+        dst=_as_name(raw.get("dst"), rid, "dst"),
         control=control,
         disjoint_paths=_as_int(raw.get("disjoint_paths"), rid, "disjoint_paths"),
         client_ports=PortSpec(
-            port_type=str(ports.get("type")),
-            gbps=float(gbps),
+            port_type=_as_name(ports.get("type"), rid, "client_ports.type"),
+            gbps=_as_positive(ports.get("gbps"), ValidationError, rid,
+                              "client_ports.gbps must be a finite number > 0"),
             count=_as_int(ports.get("count"), rid, "client_ports.count"),
         ),
         calendar_slots=_as_int(raw.get("calendar_slots"), rid, "calendar_slots"),
-        weights=weights,
+        weights=raw.get("weights"),
     )
+
+
+def weights_from_dict(raw: Mapping, element: str) -> dict[str, float]:
+    """Parse a per-dimension merge-weight map for ``element``.
+
+    Every key must name a dimension (else UnknownDimension) and every weight
+    must be a finite int or float greater than 0 (else NonPositiveWeight).
+    Dimensions left out weigh 1 at merge time.
+    """
+    weights = {}
+    for dim, value in _as_object(raw, element, "weights").items():
+        if dim not in DIMENSIONS:
+            raise UnknownDimension(str(dim))
+        weights[dim] = _as_positive(value, NonPositiveWeight, dim, value)
+    return weights
 
 
 def bounds_from_dict(raw: Mapping) -> TraitBounds:
     """Parse a bounds file: static ranges, or a derived-mode marker whose h
     fields are ignored."""
-    if not isinstance(raw, Mapping):
-        raise ValidationError("bounds", "bounds must be an object")
-    mode_raw = raw.get("mode", "static")
-    try:
-        mode = BoundsMode(mode_raw)
-    except ValueError:
-        raise ValidationError("bounds", f"unknown mode {mode_raw!r}") from None
+    raw = _as_object(raw, "bounds", "bounds")
+    mode = _as_choice(BoundsMode, raw.get("mode", "static"), "bounds", "mode")
     if mode is BoundsMode.DERIVED:
         return DERIVED_BOUNDS
     bounds: dict[str, Bound] = {}
     for dim in DIMENSIONS:
-        entry = raw.get(dim)
-        if not isinstance(entry, Mapping):
-            raise ValidationError(dim, "static bounds require every dimension")
+        entry = _as_object(raw.get(dim), dim, "static bounds")
         bounds[dim] = Bound(l=_as_int(entry.get("l"), dim, "l"),
                             h=_as_int(entry.get("h"), dim, "h"))
     return TraitBounds(mode=mode, topology=bounds["topology"],

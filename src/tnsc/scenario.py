@@ -26,9 +26,8 @@ from .errors import OutOfRange, ParseError, TnscError, ValidationError
 from .feasibility import (
     FeasibilityIndex,
     FeasibilityVector,
-    TraitValue,
     merge_index,
-    normalize_falling,
+    normalize_trait,
 )
 from .model import (
     DIMENSIONS,
@@ -38,6 +37,11 @@ from .model import (
     Path,
     SliceRequest,
     TraitBounds,
+    _as_choice,
+    _as_int,
+    _as_list,
+    _as_name,
+    _as_object,
     bounds_from_dict,
     bounds_to_dict,
     derive_bounds,
@@ -129,69 +133,61 @@ class ScenarioReport:
     snapshot: dict
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read and fully validate a scenario file."""
+def load_json(path: str):
+    """Read and decode one JSON input file; failures raise ParseError."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(str(path), str(err)) from None
-    return parse_scenario(text, source=str(path))
+    return _decode_json(text, str(path))
 
 
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+def _decode_json(text: str, source: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(source, f"line {err.lineno} column {err.colno}: {err.msg}") \
             from None
-    return scenario_from_dict(raw)
+    except (ValueError, RecursionError) as err:  # overlong int, deep nesting
+        raise ParseError(source, str(err)) from None
+
+
+def load_scenario(path: str) -> Scenario:
+    """Read and fully validate a scenario file."""
+    return scenario_from_dict(load_json(path))
+
+
+def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+    return scenario_from_dict(_decode_json(text, source))
 
 
 def scenario_from_dict(raw: Mapping) -> Scenario:
-    if not isinstance(raw, Mapping):
-        raise ValidationError("scenario", "scenario must be an object")
+    raw = _as_object(raw, "scenario", "scenario")
     if "topology" not in raw:
         raise ValidationError("scenario", "missing topology")
     topology = validate_topology(raw["topology"])
     bounds = bounds_from_dict(raw.get("bounds", {"mode": "derived"}))
 
-    mode_raw = raw.get("mode", "link_disjoint")
-    try:
-        mode = DisjointnessMode(mode_raw)
-    except ValueError:
-        raise ValidationError("mode", f"unknown disjointness mode {mode_raw!r}") \
-            from None
+    mode = _as_choice(DisjointnessMode, raw.get("mode", "link_disjoint"), "mode",
+                      "disjointness mode")
 
-    policy_raw = raw.get("policy", {})
-    if not isinstance(policy_raw, Mapping):
-        raise ValidationError("policy", "policy must be an object")
-    try:
-        policy = ReconfigPolicy(
-            order=ReconfigOrder(policy_raw.get("order", "descending_index")),
-            on_failure=FailurePolicy(policy_raw.get("on_failure", "mark_degraded")),
-        )
-    except ValueError as err:
-        raise ValidationError("policy", str(err)) from None
+    policy_raw = _as_object(raw.get("policy", {}), "policy", "policy")
+    order = policy_raw.get("order", "descending_index")
+    on_failure = policy_raw.get("on_failure", "mark_degraded")
+    policy = ReconfigPolicy(_as_choice(ReconfigOrder, order, "policy", "order"),
+                            _as_choice(FailurePolicy, on_failure, "policy", "on_failure"))
 
     events: list[Event] = []
     last_seq: int | None = None
     arrivals: set[str] = set()
-    for entry in raw.get("events", []):
-        if not isinstance(entry, Mapping):
-            raise ValidationError("events", f"event must be an object: {entry!r}")
-        seq = entry.get("seq")
-        if isinstance(seq, bool) or not isinstance(seq, int):
-            raise ValidationError("events", f"invalid seq {seq!r}")
+    for entry in _as_list(raw.get("events", []), "scenario", "events"):
+        entry = _as_object(entry, "events", "event")
+        seq = _as_int(entry.get("seq"), "events", "seq")
         if last_seq is not None and seq <= last_seq:
             raise ValidationError(f"event {seq}", "seq values must strictly increase")
         last_seq = seq
-        kind_raw = entry.get("type")
-        try:
-            kind = EventKind(kind_raw)
-        except ValueError:
-            raise ValidationError(f"event {seq}", f"unknown type {kind_raw!r}") \
-                from None
+        kind = _as_choice(EventKind, entry.get("type"), f"event {seq}", "type")
         if kind is EventKind.REQUEST_ARRIVAL:
             request = request_from_dict(entry.get("request"))
             for endpoint in (request.src, request.dst):
@@ -203,13 +199,13 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
             arrivals.add(request.id)
             events.append(Event(seq=seq, kind=kind, request=request))
         elif kind is EventKind.REQUEST_RELEASE:
-            slice_id = entry.get("slice")
+            slice_id = _as_name(entry.get("slice"), f"event {seq}", "slice")
             if slice_id not in arrivals:
                 raise ValidationError(f"event {seq}",
                                       f"release of unknown slice {slice_id!r}")
             events.append(Event(seq=seq, kind=kind, slice_id=slice_id))
         else:
-            link_id = entry.get("link")
+            link_id = _as_name(entry.get("link"), f"event {seq}", "link")
             if link_id not in topology.link_by_id:
                 raise ValidationError(f"event {seq}", f"unknown link {link_id!r}")
             events.append(Event(seq=seq, kind=kind, link_id=link_id))
@@ -433,36 +429,28 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             rows.append(row)
             continue
 
-        all_ok = True
+        # Every dimension is tried, so the row shows each value that
+        # normalizes; the last failing dimension's error stands.
+        traits = {}
         for dim in DIMENSIONS:
-            bound = resolved.bound(dim)
-            row[dim]["l"] = bound.l
-            row[dim]["h"] = bound.h
+            bound, cell = resolved.bound(dim), row[dim]
+            cell["l"], cell["h"] = bound.l, bound.h
             try:
-                value = normalize_falling(request.trait(dim), bound.l, bound.h)
+                traits[dim] = normalize_trait(dim, cell["r"], bound)
             except OutOfRange as err:
-                all_ok = False
                 row["status"] = "OUT_OF_RANGE"
                 row["error"] = {**err.detail(), "dimension": dim}
                 continue
-            row[dim]["value"] = value
-        if all_ok:
-            vector = FeasibilityVector(
-                slice_id=request.id,
-                boolean_traits={"control": request.control},
-                numeric_traits={
-                    dim: _trait_value(row[dim]) for dim in DIMENSIONS
-                },
-            )
+            cell["value"] = traits[dim].value
+        if len(traits) == len(DIMENSIONS):
+            vector = FeasibilityVector(slice_id=request.id,
+                                       boolean_traits={"control": request.control},
+                                       numeric_traits=traits)
             index = merge_index(vector, request.weights or weights)
             row["index"] = index.value
             row["index_display"] = _round3(index.value)
         rows.append(row)
     return rows
-
-
-def _trait_value(cell: Mapping) -> TraitValue:
-    return TraitValue(raw=cell["r"], l=cell["l"], h=cell["h"], value=cell["value"])
 
 
 def rank_rows(rows: list[dict]) -> list[dict]:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from tnsc.cli import main
+from tnsc.errors import TnscError
+from tnsc.scenario import parse_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,6 +123,17 @@ def test_parse_failure_exit_one(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe[]", b"[" + b"1" * 5000 + b"]",
+                                     b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "int-over-4300-digits", "deep-nesting"])
+def test_undecodable_file_exit_one(content, inputs, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["evaluate", "--requests", str(bad), "--bounds", inputs["bounds"]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("tnsc: ParseError: ")
+
+
 def test_missing_requests_file(inputs, capsys):
     code = main(["evaluate", "--requests", "/no/such.json",
                  "--bounds", inputs["bounds"]])
@@ -151,3 +164,117 @@ def test_weights_file_applies(inputs, tmp_path, capsys):
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["index"] < 0.6506024096385542
+
+
+TABLE = json.loads((DATA / "table_inputs.json").read_text())
+TABLE_GOLDEN = json.loads((DATA / "table_golden.json").read_text())
+
+
+def table_argv(case: str, tmp_path: Path) -> list[str]:
+    """argv for a golden case named ``<command>-<static|derived>-<format>``:
+    static bounds run with the call-level weights file, derived bounds with
+    the topology and no weights file."""
+    command, bounds, fmt = case.split("-")
+    files = {}
+    for name in ("topology", "requests", "weights", "bounds"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(TABLE[name]))
+    argv = [command, "--requests", str(files["requests"]), "--format", fmt]
+    if bounds == "static":
+        return argv + ["--bounds", str(files["bounds"]),
+                       "--weights", str(files["weights"])]
+    derived = tmp_path / "derived.json"
+    derived.write_text(json.dumps({"mode": "derived"}))
+    return argv + ["--bounds", str(derived), "--topology", str(files["topology"])]
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_GOLDEN))
+def test_table_golden(case, tmp_path, capsys):
+    """Byte-exact tables: ok rows, a row out of range on two dimensions (the
+    last failing dimension's error stands), rows whose own weights replace
+    the --weights file as a whole map, and derived-bounds NoDevice and
+    NoMatchingPorts rows."""
+    assert main(table_argv(case, tmp_path)) == 0
+    assert capsys.readouterr().out == TABLE_GOLDEN[case]
+
+
+SCENARIO = json.loads((DATA / "five_node_failure.json").read_text())
+NAN, INF = float("nan"), float("inf")
+#: Written to the file as the JSON number 1e400, which decodes beyond the
+#: float range.
+BEYOND_FLOAT = "<1e400>"
+DROP = "<drop>"
+SECOND_ARRIVAL = ("events", 1, "request")
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload).replace(f'"{BEYOND_FLOAT}"', "1e400")
+
+
+def mutated(payload, path: tuple, value):
+    """Copy of ``payload`` with the field at ``path`` set to ``value``, or
+    removed when ``value`` is DROP; an empty path replaces the whole file."""
+    if not path:
+        return value
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path
+    holder = payload
+    for key in parents:
+        holder = holder[key]
+    if value == DROP:
+        del holder[last]
+    else:
+        holder[last] = value
+    return payload
+
+
+#: (file, field path, bad value, reason): each once exited 2, or exited 0
+#: with the bad value accepted, or failed only when its event ran.
+MALFORMED = [
+    ("requests", (0, "weights"), {"device": NAN}, "NonPositiveWeight"),
+    ("requests", (0, "weights"), {"device": "x"}, "NonPositiveWeight"),
+    ("requests", (0, "weights"), {"device": INF}, "NonPositiveWeight"),
+    ("requests", (0, "weights"), {"device": BEYOND_FLOAT}, "NonPositiveWeight"),
+    ("weights", (), [1, 2], "ValidationError"),
+    ("weights", (), {"topology": INF}, "NonPositiveWeight"),
+    ("scenario", (*SECOND_ARRIVAL, "weights"), {"device": NAN}, "NonPositiveWeight"),
+    ("scenario", (*SECOND_ARRIVAL, "weights"), {"device": "x"}, "NonPositiveWeight"),
+    ("scenario", (*SECOND_ARRIVAL, "weights"), {"device": 0}, "NonPositiveWeight"),
+    ("scenario", (*SECOND_ARRIVAL, "weights"), {"device": -1}, "NonPositiveWeight"),
+    ("scenario", ("topology", "links"), 7, "ValidationError"),
+    ("scenario", ("topology", "devices"), 7, "ValidationError"),
+    ("scenario", ("topology", "devices", 0, "ports"), 7, "ValidationError"),
+    ("scenario", ("events",), 7, "ValidationError"),
+    ("scenario", ("events", 4, "slice"), ["TS_2"], "ValidationError"),
+    ("scenario", ("events", 2, "link"), ["L_BC"], "ValidationError"),
+    ("requests", (0, "client_ports", "type"), DROP, "ValidationError"),
+    ("requests", (0, "client_ports", "gbps"), NAN, "ValidationError"),
+    ("requests", (0, "client_ports", "gbps"), INF, "ValidationError"),
+    ("requests", (0, "client_ports", "gbps"), BEYOND_FLOAT, "ValidationError"),
+]
+
+
+@pytest.mark.parametrize("target,path,value,reason", MALFORMED, ids=[
+    f"{target}:{'.'.join(map(str, path)) or 'file'}={value!r}"
+    for target, path, value, _reason in MALFORMED])
+def test_malformed_input_exits_one(target, path, value, reason, inputs, tmp_path,
+                                   capsys):
+    base = {"requests": REQUESTS, "weights": {"device": 5}, "scenario": SCENARIO}
+    text = json_text(mutated(base[target], path, value))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if target == "scenario":
+        # Rejected while parsing, before any event runs.
+        with pytest.raises(TnscError) as err:
+            parse_scenario(text)
+        assert err.value.reason == reason
+        argv = ["simulate", "--scenario", str(bad)]
+    else:
+        files = {"requests": inputs["requests"], "bounds": inputs["bounds"],
+                 target: str(bad)}
+        argv = ["evaluate"] + [arg for name, file in files.items()
+                               for arg in (f"--{name}", file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tnsc: {reason}: ")
+    assert "internal error" not in err

@@ -1,0 +1,101 @@
+"""Seeded mutation fuzzing of the inputs the CLI and the scenario runner read.
+
+Each sample copies a valid input and applies one to three mutations: drop a
+key or list item, swap in a value of another type, or inject a non-finite,
+negative or huge number. Malformed input must fail with a stable TnscError
+reason: the CLI exits 0 or 1, never 2, and a scenario either fails in
+``scenario_from_dict`` or runs to its end.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+
+import tnsc.errors
+from tnsc.cli import main
+from tnsc.errors import TnscError
+from tnsc.scenario import report_to_json, run_scenario, scenario_from_dict
+
+from .test_cli import BOUNDS, REQUESTS, SCENARIO, TOPOLOGY
+
+REASONS = {name for name, value in vars(tnsc.errors).items()
+           if isinstance(value, type) and issubclass(value, TnscError)}
+
+REPLACEMENTS = ([], {}, "x", "", True, None, 0, -1, 1.5, float("nan"),
+                float("inf"), float("-inf"), 10**400, 2**63, -10**30)
+
+
+def _locations(value, prefix=()):
+    """Path of every value inside a JSON document, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _locations(item, prefix + (key,))
+
+
+def mutate(rng: random.Random, payload):
+    payload = copy.deepcopy(payload)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_locations(payload)))
+        value = copy.deepcopy(rng.choice(REPLACEMENTS))
+        if not path:
+            payload = value
+            continue
+        holder = payload
+        for key in path[:-1]:
+            holder = holder[key]
+        if rng.random() < 0.3:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return payload
+
+
+def test_mutated_scenarios_fail_in_parse_or_run_to_the_end():
+    rng = random.Random(1105)
+    ran = 0
+    for _ in range(1500):
+        raw = mutate(rng, SCENARIO)
+        try:
+            scenario = scenario_from_dict(raw)
+        except TnscError:
+            continue
+        try:
+            report_to_json(run_scenario(scenario))
+        except Exception as err:
+            raise AssertionError(f"scenario aborted mid-run on {raw!r}") from err
+        ran += 1
+    assert ran > 0
+
+
+def test_mutated_cli_inputs_exit_zero_or_one(tmp_path, capsys):
+    rng = random.Random(1106)
+    base = {"topology": TOPOLOGY, "requests": REQUESTS, "bounds": BOUNDS,
+            "weights": {"device": 5}, "derived": {"mode": "derived"}}
+    files = {name: str(tmp_path / f"{name}.json") for name in base}
+    for _ in range(300):
+        target = rng.choice(("topology", "requests", "bounds", "weights"))
+        payloads = dict(base, **{target: mutate(rng, base[target])})
+        for name, payload in payloads.items():
+            with open(files[name], "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+        argv = [rng.choice(("evaluate", "rank")), "--requests", files["requests"],
+                "--format", rng.choice(("json", "csv"))]
+        if target == "topology" or (target == "requests" and rng.random() < 0.5):
+            argv += ["--bounds", files["derived"], "--topology", files["topology"]]
+        else:
+            argv += ["--bounds", files["bounds"], "--weights", files["weights"]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        context = f"{argv[0]} with {target} = {payloads[target]!r}"
+        assert code in (0, 1), context
+        if code == 1:
+            prefix, reason = err.split(": ")[:2]
+            assert prefix == "tnsc" and reason in REASONS, context
