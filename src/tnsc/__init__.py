@@ -57,6 +57,7 @@ from .model import (
 )
 from .pathfind import (
     DisjointnessMode,
+    DisjointSearch,
     k_disjoint_paths,
     max_disjoint_count,
     shortest_path,

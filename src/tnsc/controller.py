@@ -38,7 +38,7 @@ from .model import (
     TraitBounds,
     derive_bounds,
 )
-from .pathfind import DEFAULT_SRLG_BUDGET, DisjointnessMode, k_disjoint_paths
+from .pathfind import DEFAULT_SRLG_BUDGET, DisjointnessMode, DisjointSearch
 
 LINK_UP = "up"
 LINK_DOWN = "down"
@@ -184,10 +184,6 @@ class Controller:
         self.requests[request.id] = request
         return record
 
-    def _up_links(self) -> frozenset[str]:
-        return frozenset(lid for lid, state in self.ledger.link_state.items()
-                         if state == LINK_UP)
-
     def _usable_links(self, slots_needed: int) -> frozenset[str]:
         return frozenset(
             lid for lid, state in self.ledger.link_state.items()
@@ -208,15 +204,11 @@ class Controller:
                 return self._rejected(request, NoDevice(node))
 
         # Pre-search pruning keeps any returned path set slot-feasible.
-        usable = self._usable_links(request.calendar_slots)
+        search = self._search(request, self._usable_links(request.calendar_slots))
         try:
-            paths = k_disjoint_paths(
-                self.topology, request.src, request.dst, request.disjoint_paths,
-                self.mode, link_costs=self.link_costs, usable_links=usable,
-                srlg_budget=self.srlg_budget,
-            )
+            paths = search.paths(request.disjoint_paths)
         except InsufficientDiversity as err:
-            return self._rejected(request, self._diversity_reason(request, err))
+            return self._rejected(request, self._diversity_reason(request, search, err))
 
         for node in (request.src, request.dst):
             key = (node, spec.port_type, spec.gbps)
@@ -230,7 +222,7 @@ class Controller:
             return self._rejected(request, ControlExhausted(self.control_context_limit))
 
         try:
-            vector, index = self._evaluate(request, usable)
+            vector, index = self._evaluate(request, search)
         except OutOfRange as err:
             return self._rejected(request, err)
 
@@ -262,29 +254,33 @@ class Controller:
             index=index,
         )
 
-    def _diversity_reason(self, request: SliceRequest,
+    def _search(self, request: SliceRequest, usable: frozenset[str]) -> DisjointSearch:
+        return DisjointSearch(self.topology, request.src, request.dst, self.mode,
+                              link_costs=self.link_costs, usable_links=usable,
+                              srlg_budget=self.srlg_budget)
+
+    def _diversity_reason(self, request: SliceRequest, search: DisjointSearch,
                           err: InsufficientDiversity) -> TnscError:
         """Blame slots when the up network alone would have been diverse
         enough; otherwise the shortage is structural."""
-        up_only = self._up_links()
-        if up_only != self._usable_links(request.calendar_slots):
+        up_only = self._usable_links(0)
+        if up_only != search.usable:
             try:
-                k_disjoint_paths(
-                    self.topology, request.src, request.dst,
-                    request.disjoint_paths, self.mode,
-                    link_costs=self.link_costs, usable_links=up_only,
-                    srlg_budget=self.srlg_budget,
-                )
+                self._search(request, up_only).paths(request.disjoint_paths)
                 return SlotExhausted(request.calendar_slots)
             except InsufficientDiversity:
                 pass
         return err
 
-    def _evaluate(self, request: SliceRequest,
-                  usable: frozenset[str]) -> tuple[FeasibilityVector, FeasibilityIndex]:
+    def _evaluate(self, request: SliceRequest, search: DisjointSearch | None = None,
+                  ) -> tuple[FeasibilityVector, FeasibilityIndex]:
+        """Derived bounds count diversity on ``search``, or on a new search
+        when None; static bounds never build one."""
         if self.bounds.mode is BoundsMode.DERIVED:
+            if search is None:
+                search = self._search(request, self._usable_links(request.calendar_slots))
             view = ResourceView(
-                usable_links=usable,
+                search=search,
                 residual_slots=self.ledger.residual_slots,
                 residual_ports=self.ledger.residual_ports,
             )
@@ -299,7 +295,7 @@ class Controller:
         """Read-only feasibility of a request against the current network;
         (None, None) when it does not normalize."""
         try:
-            return self._evaluate(request, self._usable_links(request.calendar_slots))
+            return self._evaluate(request)
         except TnscError:
             return None, None
 

@@ -25,7 +25,9 @@ class TnscError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class ValidationError(TnscError):
+class ValidationError(TnscError, ValueError):
+    """Malformed input or argument; also a ValueError for library callers."""
+
     def __init__(self, element: str, message: str):
         super().__init__(f"{element}: {message}")
         self.element = element

@@ -7,10 +7,10 @@ it normalizes closer to 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import NonPositiveWeight, OutOfRange, UnknownDimension
 from .model import DIMENSIONS, Bound, SliceRequest, TraitBounds, weights_from_dict

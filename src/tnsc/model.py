@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     DanglingEndpoint,
@@ -24,6 +25,9 @@ from .errors import (
     UnknownDimension,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .pathfind import DisjointSearch
 
 DEFAULT_SLOT_CAPACITY = 20
 DEFAULT_SLOT_GBPS = 5.0
@@ -55,13 +59,6 @@ class Link:
     srlgs: frozenset[int] = frozenset()
     slot_capacity: int = DEFAULT_SLOT_CAPACITY
     slot_gbps: float = DEFAULT_SLOT_GBPS
-
-    def other(self, node: str) -> str:
-        return self.b if node == self.a else self.a
-
-    @property
-    def endpoints(self) -> frozenset[str]:
-        return frozenset((self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -299,9 +296,11 @@ class AllocationRecord:
 @dataclass(frozen=True)
 class ResourceView:
     """Residual-capacity lens the controller applies to derive bounds against
-    the network as it currently stands rather than as built."""
+    the network as it currently stands rather than as built. ``search`` is
+    the admission's disjoint-path search over the usable links, whose flow
+    the diversity count resumes."""
 
-    usable_links: frozenset[str]
+    search: DisjointSearch
     residual_slots: Mapping[str, int]
     residual_ports: Mapping[tuple[str, str, float], int]
 
@@ -546,8 +545,8 @@ def derive_bounds(
     Upper bounds: maximum disjoint-path count between the endpoints, the
     smaller matching port inventory of the two endpoint devices, and the
     smallest slot pool among considered links. With a ``view``, inventories
-    and pools are the current residuals and only usable links count, so the
-    result reflects present rather than nominal feasibility.
+    and pools are the current residuals and only the search's usable links
+    count, so the result reflects present rather than nominal feasibility.
 
     Raises NoDevice when an endpoint has no device profile and
     NoMatchingPorts when no port group matches the requested kind.
@@ -574,13 +573,11 @@ def derive_bounds(
 
     if view is None:
         slot_pool = [link.slot_capacity for link in topology.links]
+        diversity = max_disjoint_count(topology, request.src, request.dst, mode)
     else:
         slot_pool = [view.residual_slots.get(link_id, 0)
-                     for link_id in sorted(view.usable_links)]
-    usable = None if view is None else view.usable_links
-
-    diversity = max_disjoint_count(topology, request.src, request.dst, mode,
-                                   usable_links=usable)
+                     for link_id in view.search.usable]
+        diversity = view.search.count()
 
     return TraitBounds(
         mode=BoundsMode.DERIVED,

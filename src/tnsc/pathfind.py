@@ -10,11 +10,13 @@ budget-bounded backtracking search and reports budget exhaustion explicitly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
 
-from .errors import InsufficientDiversity, Unreachable
+from .errors import InsufficientDiversity, Unreachable, ValidationError
 from .model import NetworkTopology, Path
 
 DEFAULT_SRLG_BUDGET = 1000
@@ -40,21 +42,12 @@ class _Arc:
     flow: int = 0
 
 
-@dataclass
-class _FlowNet:
-    node_count: int
-    arcs: list[_Arc]
-    source: object
-    sink: object
-    by_link: dict[str, list[_Arc]] = field(default_factory=dict)
-
-
 def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
-    for node in (src, dst):
+    for role, node in (("src", src), ("dst", dst)):
         if node not in topology.nodes:
-            raise ValueError(f"unknown node {node!r}")
+            raise ValidationError(role, f"unknown node {node!r}")
     if src == dst:
-        raise ValueError("src and dst must differ")
+        raise ValidationError("dst", "src and dst must differ")
 
 
 def _resolve_costs(topology: NetworkTopology,
@@ -63,9 +56,9 @@ def _resolve_costs(topology: NetworkTopology,
     if link_costs:
         for link_id, cost in link_costs.items():
             if link_id not in costs:
-                raise ValueError(f"cost override for unknown link {link_id!r}")
+                raise ValidationError("link_costs", f"unknown link {link_id!r}")
             if cost < 0:
-                raise ValueError(f"negative cost for link {link_id!r}")
+                raise ValidationError("link_costs", f"negative cost for link {link_id!r}")
             costs[link_id] = float(cost)
     return costs
 
@@ -76,49 +69,19 @@ def _resolve_usable(topology: NetworkTopology,
         return {link.id for link in topology.links}
     unknown = set(usable_links) - set(topology.link_by_id)
     if unknown:
-        raise ValueError(f"usable_links references unknown links {sorted(unknown)}")
+        raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
     return set(usable_links)
 
 
-def _build_flow_net(topology: NetworkTopology, src: str, dst: str,
-                    split_nodes: bool, costs: Mapping[str, float],
-                    usable: set[str]) -> _FlowNet:
-    arcs: list[_Arc] = []
-    by_link: dict[str, list[_Arc]] = {}
-    ordered_links = [link for link in sorted(topology.links, key=lambda l: l.id)
-                     if link.id in usable]
-    if not split_nodes:
-        for link in ordered_links:
-            pair = [_Arc(link.a, link.b, costs[link.id], link.id),
-                    _Arc(link.b, link.a, costs[link.id], link.id)]
-            arcs.extend(pair)
-            by_link[link.id] = pair
-        return _FlowNet(node_count=len(topology.nodes), arcs=arcs,
-                        source=src, sink=dst, by_link=by_link)
-
-    # Node splitting: a unit-capacity internal arc per intermediate node makes
-    # arc-disjointness in the split graph equal node-disjointness in the
-    # original. Endpoints get no internal arc; they are shared by definition.
-    for node in sorted(topology.nodes):
-        if node not in (src, dst):
-            arcs.append(_Arc((node, _IN), (node, _OUT), 0.0, None))
-    for link in ordered_links:
-        pair = [_Arc((link.a, _OUT), (link.b, _IN), costs[link.id], link.id),
-                _Arc((link.b, _OUT), (link.a, _IN), costs[link.id], link.id)]
-        arcs.extend(pair)
-        by_link[link.id] = pair
-    return _FlowNet(node_count=2 * len(topology.nodes), arcs=arcs,
-                    source=(src, _OUT), sink=(dst, _IN), by_link=by_link)
-
-
-def _residual_shortest(net: _FlowNet) -> list[tuple[_Arc, bool]] | None:
+def _residual_shortest(arcs: list[_Arc], source, sink,
+                       node_count: int) -> list[tuple[_Arc, bool]] | None:
     """Bellman-Ford over the residual graph (reverse arcs carry negated
     cost). Returns the augmenting steps from source to sink, or None."""
-    dist: dict = {net.source: 0.0}
+    dist: dict = {source: 0.0}
     pred: dict = {}
-    for _ in range(net.node_count + 1):
+    for _ in range(node_count + 1):
         changed = False
-        for arc in net.arcs:
+        for arc in arcs:
             if arc.flow == 0 and arc.u in dist:
                 candidate = dist[arc.u] + arc.cost
                 if candidate < dist.get(arc.v, float("inf")):
@@ -135,11 +98,11 @@ def _residual_shortest(net: _FlowNet) -> list[tuple[_Arc, bool]] | None:
             break
     else:
         raise RuntimeError("negative cycle in residual graph")
-    if net.sink not in dist:
+    if sink not in dist:
         return None
     steps: list[tuple[_Arc, bool]] = []
-    node = net.sink
-    while node != net.source:
+    node = sink
+    while node != source:
         prev, arc, forward = pred[node]
         steps.append((arc, forward))
         node = prev
@@ -147,52 +110,135 @@ def _residual_shortest(net: _FlowNet) -> list[tuple[_Arc, bool]] | None:
     return steps
 
 
-def _augment(steps: list[tuple[_Arc, bool]]) -> None:
-    for arc, forward in steps:
-        arc.flow = 1 if forward else 0
+class DisjointSearch:
+    """One disjoint-path search between two endpoints: ``paths(k)`` gives
+    the k-set and ``count()`` the maximum diversity. Link and node modes
+    share one residual network, built on first use, and ``count()`` resumes
+    from the flow ``paths(k)`` left, so a decision costs one max-flow solve.
+    SRLG mode runs the bounded search for each call.
+    """
 
+    def __init__(self, topology: NetworkTopology, src: str, dst: str,
+                 mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
+                 *,
+                 link_costs: Mapping[str, float] | None = None,
+                 usable_links: frozenset[str] | set[str] | None = None,
+                 srlg_budget: int = DEFAULT_SRLG_BUDGET):
+        _check_endpoints(topology, src, dst)
+        self.topology = topology
+        self.src = src
+        self.dst = dst
+        self.mode = mode
+        self.costs = _resolve_costs(topology, link_costs)
+        self.usable = _resolve_usable(topology, usable_links)
+        self.srlg_budget = srlg_budget
+        self._flow = 0
+        self._counted = False
+        self._split = mode is DisjointnessMode.NODE_DISJOINT
+        self._source = (src, _OUT) if self._split else src
+        self._sink = (dst, _IN) if self._split else dst
 
-def _cancel_antiparallel(net: _FlowNet) -> None:
-    # Flow in both directions over one undirected link cancels out; dropping
-    # the pair preserves conservation and the flow value.
-    for pair in net.by_link.values():
-        if len(pair) == 2 and pair[0].flow == 1 and pair[1].flow == 1:
-            pair[0].flow = 0
-            pair[1].flow = 0
+    @cached_property
+    def _link_pairs(self) -> list[tuple[_Arc, _Arc]]:
+        def key(node: str, side: int):
+            return (node, side) if self._split else node
 
+        return [
+            (_Arc(key(link.a, _OUT), key(link.b, _IN), self.costs[link.id], link.id),
+             _Arc(key(link.b, _OUT), key(link.a, _IN), self.costs[link.id], link.id))
+            for link in sorted(self.topology.links, key=lambda l: l.id)
+            if link.id in self.usable
+        ]
 
-def _original_name(key) -> str:
-    return key if isinstance(key, str) else key[0]
+    @cached_property
+    def _arcs(self) -> list[_Arc]:
+        # Node splitting: a unit-capacity internal arc per intermediate node
+        # makes arc-disjointness in the split graph equal node-disjointness
+        # in the original. Endpoints get no internal arc; they are shared.
+        internal = [_Arc((node, _IN), (node, _OUT), 0.0, None)
+                    for node in sorted(self.topology.nodes)
+                    if node not in (self.src, self.dst)] if self._split else []
+        return internal + [arc for pair in self._link_pairs for arc in pair]
 
+    def _augment_to(self, limit: float) -> int:
+        """Augment until the flow is ``limit`` or saturated; returns the flow."""
+        node_count = len(self.topology.nodes) * (2 if self._split else 1)
+        while self._flow < limit:
+            steps = _residual_shortest(self._arcs, self._source, self._sink, node_count)
+            if steps is None:
+                break
+            for arc, forward in steps:
+                arc.flow = 1 if forward else 0
+            self._flow += 1
+        return self._flow
 
-def _decompose(net: _FlowNet, k: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Split the unit flow into k walks, loop-erased to simple paths."""
-    outgoing: dict = {}
-    for arc in net.arcs:
-        if arc.flow == 1:
+    def _decompose(self, k: int) -> list[Path]:
+        """Split the unit flow into k walks, loop-erased to simple paths."""
+        # Flow both ways over one link cancels out. Dropping it keeps the flow
+        # value and, costs being non-negative, its minimum cost for count().
+        for forward, backward in self._link_pairs:
+            if forward.flow == 1 and backward.flow == 1:
+                forward.flow = backward.flow = 0
+        outgoing: dict = {}
+        for arc in sorted((arc for arc in self._arcs if arc.flow == 1),
+                          key=lambda a: (a.v, a.link or "")):
             outgoing.setdefault(arc.u, []).append(arc)
-    for bucket in outgoing.values():
-        bucket.sort(key=lambda a: (a.v, a.link or ""))
 
-    paths = []
-    for _ in range(k):
-        nodes = [_original_name(net.source)]
-        links: list[str] = []
-        key = net.source
-        while key != net.sink:
-            arc = outgoing[key].pop(0)
-            key = arc.v
-            if arc.link is not None:
-                name = _original_name(key)
-                if name in nodes:
-                    cut = nodes.index(name)
-                    nodes = nodes[: cut + 1]
-                    links = links[:cut]
-                else:
-                    nodes.append(name)
-                    links.append(arc.link)
-        paths.append((tuple(nodes), tuple(links)))
-    return paths
+        paths = []
+        for _ in range(k):
+            nodes = [self.src]
+            links: list[str] = []
+            key = self._source
+            while key != self._sink:
+                arc = outgoing[key].pop(0)
+                key = arc.v
+                if arc.link is not None:
+                    name = key[0] if self._split else key
+                    if name in nodes:
+                        cut = nodes.index(name)
+                        nodes = nodes[: cut + 1]
+                        links = links[:cut]
+                    else:
+                        nodes.append(name)
+                        links.append(arc.link)
+            paths.append(Path(nodes=tuple(nodes), links=tuple(links)))
+        return paths
+
+    def paths(self, k: int) -> list[Path]:
+        """The k-set of ``k_disjoint_paths``. Raises RuntimeError after
+        ``count()``: decomposing a flow past k would give the wrong paths."""
+        if self._counted or self._flow > k:
+            raise RuntimeError("paths() after count() or a larger paths()")
+        if k < 1:
+            raise ValidationError("k", "must be at least 1")
+        if self.mode is DisjointnessMode.SRLG_DISJOINT:
+            paths = _srlg_disjoint(self.topology, self.src, self.dst, k,
+                                   self.costs, self.usable, self.srlg_budget)
+        elif self._augment_to(k) < k:
+            raise InsufficientDiversity(requested=k, found=self._flow)
+        else:
+            paths = self._decompose(k)
+
+        paths.sort(key=lambda p: (p.cost(self.costs), p.nodes))
+        if not verify_disjoint(self.topology, paths, self.mode):
+            raise RuntimeError("internal error: computed paths fail disjointness check")
+        return paths
+
+    def count(self) -> int:
+        """The diversity of ``max_disjoint_count``, resumed from the flow
+        ``paths`` left."""
+        self._counted = True
+        if self.mode is not DisjointnessMode.SRLG_DISJOINT:
+            return self._augment_to(math.inf)
+        ceiling = DisjointSearch(self.topology, self.src, self.dst,
+                                 usable_links=self.usable).count()
+        for k in range(1, ceiling + 1):
+            try:
+                _srlg_disjoint(self.topology, self.src, self.dst, k,
+                               self.costs, self.usable, self.srlg_budget)
+            except InsufficientDiversity:
+                return k - 1
+        return ceiling
 
 
 def shortest_path(topology: NetworkTopology, src: str, dst: str,
@@ -233,30 +279,8 @@ def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
     search gave up, not that no set exists. The returned list is sorted by
     (cost, node sequence) and is deterministic for identical inputs.
     """
-    _check_endpoints(topology, src, dst)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    costs = _resolve_costs(topology, link_costs)
-    usable = _resolve_usable(topology, usable_links)
-
-    if mode is DisjointnessMode.SRLG_DISJOINT:
-        paths = _srlg_disjoint(topology, src, dst, k, costs, usable, srlg_budget)
-    else:
-        net = _build_flow_net(topology, src, dst,
-                              mode is DisjointnessMode.NODE_DISJOINT, costs, usable)
-        for found in range(k):
-            steps = _residual_shortest(net)
-            if steps is None:
-                raise InsufficientDiversity(requested=k, found=found)
-            _augment(steps)
-        _cancel_antiparallel(net)
-        paths = [Path(nodes=nodes, links=links)
-                 for nodes, links in _decompose(net, k)]
-
-    paths.sort(key=lambda p: (p.cost(costs), p.nodes))
-    if not verify_disjoint(topology, paths, mode):
-        raise RuntimeError("internal error: computed paths fail disjointness check")
-    return paths
+    return DisjointSearch(topology, src, dst, mode, link_costs=link_costs,
+                          usable_links=usable_links, srlg_budget=srlg_budget).paths(k)
 
 
 def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
@@ -271,33 +295,8 @@ def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
     mode probes increasing k with the bounded search and is conservative
     when the budget runs out.
     """
-    _check_endpoints(topology, src, dst)
-    costs = _resolve_costs(topology, link_costs)
-    usable = _resolve_usable(topology, usable_links)
-
-    if mode is DisjointnessMode.SRLG_DISJOINT:
-        ceiling = max_disjoint_count(topology, src, dst,
-                                     DisjointnessMode.LINK_DISJOINT,
-                                     link_costs=link_costs,
-                                     usable_links=usable_links)
-        best = 0
-        for k in range(1, ceiling + 1):
-            try:
-                _srlg_disjoint(topology, src, dst, k, costs, usable, srlg_budget)
-            except InsufficientDiversity:
-                break
-            best = k
-        return best
-
-    net = _build_flow_net(topology, src, dst,
-                          mode is DisjointnessMode.NODE_DISJOINT, costs, usable)
-    count = 0
-    while True:
-        steps = _residual_shortest(net)
-        if steps is None:
-            return count
-        _augment(steps)
-        count += 1
+    return DisjointSearch(topology, src, dst, mode, link_costs=link_costs,
+                          usable_links=usable_links, srlg_budget=srlg_budget).count()
 
 
 def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],

@@ -107,6 +107,18 @@ def test_paths_insufficient_diversity_fails(inputs, capsys):
     assert "InsufficientDiversity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--src", "A", "--dst", "Z"], "dst: unknown node 'Z'"),
+    (["--src", "A", "--dst", "A"], "dst: src and dst must differ"),
+    (["--src", "A", "--dst", "C", "--k", "0"], "k: must be at least 1"),
+], ids=["unknown-node", "same-endpoints", "k-zero"])
+def test_paths_bad_arguments_exit_one(inputs, capsys, args, message):
+    code = main(["paths", "--topology", inputs["topology"], *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"tnsc: ValidationError: {message}\n"
+
+
 def test_simulate_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["simulate", "--scenario",

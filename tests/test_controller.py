@@ -21,7 +21,7 @@ from tnsc.errors import (
     UnknownSlice,
 )
 
-from tnsc import bounds_from_dict
+from tnsc import bounds_from_dict, pathfind
 
 from .conftest import assert_conserved, make_request, make_topology
 
@@ -382,3 +382,45 @@ class TestRandomizedInvariants:
                     controller.apply_event(
                         Event(seq=seq, kind=EventKind.LINK_UP, link_id=link))
                 assert_conserved(controller)
+
+
+class TestSolveCount:
+    """Each Bellman-Ford call on the residual network is one augmentation
+    attempt. A derived-mode admission resumes the path search's flow for its
+    diversity count instead of solving again, and static bounds never
+    extend a search past the k paths."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = pathfind._residual_shortest
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pathfind, "_residual_shortest", counting)
+        return calls
+
+    def test_derived_admission_solves_one_flow(self, theta, ts1, solves):
+        controller = node_controller(theta)
+        record = controller.admit(ts1)
+        assert record.vector.numeric_traits["topology"].h == 3
+        # k augmentations, then 3 - k more, then one that finds no path.
+        assert len(solves) == 3 + 1
+
+    def test_static_admission_stops_at_k(self, theta, ts1, table2_bounds, solves):
+        controller = Controller(theta, bounds=table2_bounds, mode=NODE)
+        assert controller.admit(ts1).state is AllocationState.ACTIVE
+        assert len(solves) == ts1.disjoint_paths
+
+    def test_static_reconfigure_appraisal_solves_nothing(self, theta, ts1,
+                                                         table2_bounds, solves):
+        controller = Controller(theta, bounds=table2_bounds, mode=NODE)
+        controller.admit(ts1)
+        affected = controller.apply_event(
+            Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_BC"))
+        solves.clear()
+        (entry,) = controller.reconfigure(affected)
+        assert entry.outcome == "readmitted" and entry.index is not None
+        assert len(solves) == ts1.disjoint_paths

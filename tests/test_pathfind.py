@@ -6,6 +6,7 @@ import pytest
 
 from tnsc import (
     DisjointnessMode,
+    DisjointSearch,
     Path,
     k_disjoint_paths,
     max_disjoint_count,
@@ -256,3 +257,50 @@ class TestOracleEquivalence:
                 except InsufficientDiversity as err:
                     assert k > brute_max
                     assert err.found == brute_max
+
+
+def random_costed_topology(rng):
+    """Connected graph of 10-60 nodes: a random spanning tree plus n/4 to n
+    chords, with link costs from {0, 0.5, 1, 2, 3}, a third of them zero."""
+    n = rng.randint(10, 60)
+    names = [f"v{i:02d}" for i in range(n)]
+    pairs = {frozenset((names[i], rng.choice(names[:i]))) for i in range(1, n)}
+    target = len(pairs) + rng.randint(n // 4, n)
+    while len(pairs) < target:
+        pairs.add(frozenset(rng.sample(names, 2)))
+    links = [(f"L{i:03d}", *sorted(pair)) for i, pair in enumerate(sorted(pairs, key=sorted))]
+    costs = {link[0]: rng.choice((0, 0, 0.5, 1, 2, 3)) for link in links}
+    return make_topology(names, links), costs
+
+
+class TestDisjointSearch:
+    def test_count_resumes_from_paths(self):
+        """paths(k) then count() on one search matches a fresh search for
+        each, for every k up to one past the maximum. Zero-cost links let
+        flow run both ways over a link, which paths() cancels before the
+        count resumes."""
+        rng = random.Random(3034)
+        for _ in range(300):
+            topology, costs = random_costed_topology(rng)
+            usable = {link.id for link in topology.links if rng.random() < 0.85}
+            src, dst = rng.sample(sorted(topology.nodes), 2)
+            for mode in (LINK, NODE):
+                options = {"link_costs": costs, "usable_links": usable}
+                most = max_disjoint_count(topology, src, dst, mode, **options)
+                for k in range(1, most + 2):
+                    search = DisjointSearch(topology, src, dst, mode, **options)
+                    try:
+                        paths = search.paths(k)
+                    except InsufficientDiversity as err:
+                        assert k == most + 1 and err.found == most
+                    else:
+                        assert k <= most
+                        assert paths == k_disjoint_paths(topology, src, dst, k,
+                                                         mode, **options)
+                    assert search.count() == most
+
+    def test_paths_after_count_raises(self, theta):
+        search = DisjointSearch(theta, "A", "C", NODE)
+        assert search.count() == 3
+        with pytest.raises(RuntimeError):
+            search.paths(3)

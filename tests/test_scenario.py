@@ -216,6 +216,19 @@ class TestGoldenReport:
         assert reconfigs[0]["outcome"] == "readmitted"
         assert reconfigs[1]["outcome"] == "degraded"
 
+    @pytest.mark.parametrize("name", ["grid_node_disjoint", "grid_link_disjoint"])
+    def test_derived_grid_golden(self, name):
+        """6x6 grids with derived bounds, four-slot links and link flaps:
+        the reports cover SlotExhausted and InsufficientDiversity rejections
+        and reconfigurations appraised against derived bounds."""
+        report = run_scenario(load_scenario(str(DATA / f"{name}.json")))
+        reasons = {entry.get("reason") for entry in report.entries}
+        assert {"SlotExhausted", "InsufficientDiversity"} <= reasons
+        assert any(entry["action"] == "reconfigure" and entry["vector"] is not None
+                   for entry in report.entries)
+        golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
+        assert report_to_json(report) == golden
+
 
 class TestEvaluate:
     def test_reference_table(self, table2_bounds, ts1, ts2):
