@@ -297,8 +297,9 @@ class AllocationRecord:
 class ResourceView:
     """Residual-capacity lens the controller applies to derive bounds against
     the network as it currently stands rather than as built. ``search`` is
-    the admission's disjoint-path search over the usable links, whose flow
-    the diversity count resumes."""
+    the admission's disjoint-path search over the usable links, in the mode
+    passed to ``derive_bounds``; ``derive_bounds`` calls its ``count()``,
+    which resumes its flow and ends its ``paths()``."""
 
     search: DisjointSearch
     residual_slots: Mapping[str, int]
@@ -548,13 +549,17 @@ def derive_bounds(
     and pools are the current residuals and only the search's usable links
     count, so the result reflects present rather than nominal feasibility.
 
-    Raises NoDevice when an endpoint has no device profile and
-    NoMatchingPorts when no port group matches the requested kind.
+    Raises NoDevice when an endpoint has no device profile,
+    NoMatchingPorts when no port group matches the requested kind, and
+    ValidationError when the view's search runs in another mode.
     """
     from .pathfind import DisjointnessMode, max_disjoint_count
 
     if mode is None:
         mode = DisjointnessMode.LINK_DISJOINT
+    if view is not None and view.search.mode != mode:
+        raise ValidationError("mode", f"view searches {DisjointnessMode(view.search.mode).value}, "
+                                      f"not {DisjointnessMode(mode).value}")
 
     port_caps = []
     spec = request.client_ports

@@ -174,13 +174,14 @@ class DisjointSearch:
 
     def _decompose(self, k: int) -> list[Path]:
         """Split the unit flow into k walks, loop-erased to simple paths."""
-        # Flow both ways over one link cancels out. Dropping it keeps the flow
-        # value and, costs being non-negative, its minimum cost for count().
-        for forward, backward in self._link_pairs:
-            if forward.flow == 1 and backward.flow == 1:
-                forward.flow = backward.flow = 0
+        # Flow both ways over one link is a zero-cost cycle that no walk needs
+        # (in node mode it also holds both endpoints' internal arcs), so the
+        # walks skip it. The flow itself stays as it is: count() resumes it.
+        cycles = {id(arc) for pair in self._link_pairs
+                  if pair[0].flow == 1 and pair[1].flow == 1 for arc in pair}
         outgoing: dict = {}
-        for arc in sorted((arc for arc in self._arcs if arc.flow == 1),
+        for arc in sorted((arc for arc in self._arcs
+                           if arc.flow == 1 and id(arc) not in cycles),
                           key=lambda a: (a.v, a.link or "")):
             outgoing.setdefault(arc.u, []).append(arc)
 

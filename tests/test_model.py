@@ -5,8 +5,10 @@ import pytest
 from tnsc import (
     Bound,
     BoundsMode,
+    DisjointSearch,
     DisjointnessMode,
     Path,
+    ResourceView,
     TraitBounds,
     bounds_from_dict,
     build_vector,
@@ -236,4 +238,13 @@ class TestDeriveBounds:
     def test_node_mode_matches_link_mode_on_cycle(self, four_cycle):
         bounds = derive_bounds(four_cycle, make_request(),
                                DisjointnessMode.NODE_DISJOINT)
+        assert bounds.topology == Bound(2, 2)
+
+    def test_view_search_in_another_mode_rejected(self, four_cycle):
+        search = DisjointSearch(four_cycle, "A", "C", DisjointnessMode.NODE_DISJOINT)
+        view = ResourceView(search=search, residual_slots={}, residual_ports={})
+        with pytest.raises(ValidationError):
+            derive_bounds(four_cycle, make_request(), view=view)
+        bounds = derive_bounds(four_cycle, make_request(),
+                               DisjointnessMode.NODE_DISJOINT, view=view)
         assert bounds.topology == Bound(2, 2)

@@ -299,6 +299,33 @@ class TestDisjointSearch:
                                                          mode, **options)
                     assert search.count() == most
 
+    def test_count_resumes_past_node_mode_cycle(self):
+        """The second augmentation ties between entering a by the link b-a
+        and by the reverse internal route, and takes the link, leaving a
+        zero-cost cycle a->b->a that also holds a's and b's internal arcs.
+        The walks must skip that cycle without erasing it from the flow,
+        or the resumed count can no longer route s-u-a-b-t."""
+        topology = make_topology(
+            "styabxzwu",
+            [("L_sy", "s", "y"), ("L_ya", "y", "a"), ("L_ab", "a", "b"),
+             ("L_bx", "b", "x"), ("L_xt", "x", "t"), ("L_sz", "s", "z"),
+             ("L_zx", "z", "x"), ("L_yw", "y", "w"), ("L_wt", "w", "t"),
+             ("L_su", "s", "u"), ("L_ua", "u", "a"), ("L_bt", "b", "t")])
+        costs = {"L_sy": 0, "L_ya": 0, "L_ab": 0, "L_bx": 0, "L_xt": 0,
+                 "L_sz": 1, "L_zx": 1, "L_yw": 1, "L_wt": 1,
+                 "L_su": 5, "L_ua": 5, "L_bt": 5}
+        most = max_disjoint_count(topology, "s", "t", NODE, link_costs=costs)
+        assert most == 3
+        search = DisjointSearch(topology, "s", "t", NODE, link_costs=costs)
+        assert search.paths(2) == k_disjoint_paths(topology, "s", "t", 2, NODE,
+                                                   link_costs=costs)
+        assert search.paths(3) == k_disjoint_paths(topology, "s", "t", 3, NODE,
+                                                   link_costs=costs)
+        assert search.count() == most
+        search = DisjointSearch(topology, "s", "t", NODE, link_costs=costs)
+        search.paths(2)
+        assert search.count() == most
+
     def test_paths_after_count_raises(self, theta):
         search = DisjointSearch(theta, "A", "C", NODE)
         assert search.count() == 3
