@@ -549,17 +549,16 @@ def derive_bounds(
     and pools are the current residuals and only the search's usable links
     count, so the result reflects present rather than nominal feasibility.
 
-    Raises NoDevice when an endpoint has no device profile,
-    NoMatchingPorts when no port group matches the requested kind, and
-    ValidationError when the view's search runs in another mode.
+    Raises NoDevice when an endpoint has no device profile, NoMatchingPorts
+    when no port group matches the requested kind and ValidationError when
+    the view's search runs in another mode.
     """
     from .pathfind import DisjointnessMode, max_disjoint_count
 
     if mode is None:
         mode = DisjointnessMode.LINK_DISJOINT
     if view is not None and view.search.mode != mode:
-        raise ValidationError("mode", f"view searches {DisjointnessMode(view.search.mode).value}, "
-                                      f"not {DisjointnessMode(mode).value}")
+        raise ValidationError("mode", "differs from the mode of the view's search")
 
     port_caps = []
     spec = request.client_ports

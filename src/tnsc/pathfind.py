@@ -140,12 +140,11 @@ class DisjointSearch:
 
     @cached_property
     def _link_pairs(self) -> list[tuple[_Arc, _Arc]]:
-        def key(node: str, side: int):
-            return (node, side) if self._split else node
-
+        into = {node: (node, _IN) if self._split else node for node in self.topology.nodes}
+        out = {node: (node, _OUT) if self._split else node for node in self.topology.nodes}
         return [
-            (_Arc(key(link.a, _OUT), key(link.b, _IN), self.costs[link.id], link.id),
-             _Arc(key(link.b, _OUT), key(link.a, _IN), self.costs[link.id], link.id))
+            (_Arc(out[link.a], into[link.b], self.costs[link.id], link.id),
+             _Arc(out[link.b], into[link.a], self.costs[link.id], link.id))
             for link in sorted(self.topology.links, key=lambda l: l.id)
             if link.id in self.usable
         ]
@@ -174,9 +173,8 @@ class DisjointSearch:
 
     def _decompose(self, k: int) -> list[Path]:
         """Split the unit flow into k walks, loop-erased to simple paths."""
-        # Flow both ways over one link is a zero-cost cycle that no walk needs
-        # (in node mode it also holds both endpoints' internal arcs), so the
-        # walks skip it. The flow itself stays as it is: count() resumes it.
+        # Flow both ways over one link is a zero-cost cycle that no walk
+        # needs; the walks skip it, but it stays in the flow count() resumes.
         cycles = {id(arc) for pair in self._link_pairs
                   if pair[0].flow == 1 and pair[1].flow == 1 for arc in pair}
         outgoing: dict = {}

@@ -277,8 +277,8 @@ class TestDisjointSearch:
     def test_count_resumes_from_paths(self):
         """paths(k) then count() on one search matches a fresh search for
         each, for every k up to one past the maximum. Zero-cost links let
-        flow run both ways over a link, which paths() cancels before the
-        count resumes."""
+        flow run both ways over a link, which the walks of paths() skip and
+        the resumed count keeps."""
         rng = random.Random(3034)
         for _ in range(300):
             topology, costs = random_costed_topology(rng)
