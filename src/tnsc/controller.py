@@ -7,7 +7,7 @@ bit-identical to its prior state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -279,12 +279,8 @@ class Controller:
         if self.bounds.mode is BoundsMode.DERIVED:
             if search is None:
                 search = self._search(request, self._usable_links(request.calendar_slots))
-            view = ResourceView(
-                search=search,
-                residual_slots=self.ledger.residual_slots,
-                residual_ports=self.ledger.residual_ports,
-            )
-            bounds = derive_bounds(self.topology, request, self.mode, view=view)
+            bounds = derive_bounds(request, ResourceView(
+                search, self.ledger.residual_slots, self.ledger.residual_ports))
         else:
             bounds = self.bounds
         vector = build_vector(request, bounds)

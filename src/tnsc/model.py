@@ -295,11 +295,12 @@ class AllocationRecord:
 
 @dataclass(frozen=True)
 class ResourceView:
-    """Residual-capacity lens the controller applies to derive bounds against
-    the network as it currently stands rather than as built. ``search`` is
-    the admission's disjoint-path search over the usable links, in the mode
-    passed to ``derive_bounds``; ``derive_bounds`` calls its ``count()``,
-    which resumes its flow and ends its ``paths()``."""
+    """Residual-capacity lens that ``derive_bounds`` resolves a request
+    against. ``search`` fixes the topology, the disjointness mode and the
+    usable links; ``derive_bounds`` calls its ``count()``, which resumes its
+    flow and ends its ``paths()``. The controller passes the admission's
+    search and its live ledger; residuals from a fresh ledger give the
+    network as built."""
 
     search: DisjointSearch
     residual_slots: Mapping[str, int]
@@ -311,9 +312,9 @@ class ResourceView:
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, error: Exception) -> None:
+def _require(condition: bool, error: type[TnscError], *args) -> None:
     if not condition:
-        raise error
+        raise error(*args)
 
 
 def _as_int(value, element: str, what: str) -> int:
@@ -369,11 +370,11 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
     """
     raw = _as_object(raw, "topology", "topology description")
     node_list = _as_list(raw.get("nodes"), "topology", "nodes")
-    _require(node_list, ValidationError("topology", "nodes must not be empty"))
+    _require(node_list, ValidationError, "topology", "nodes must not be empty")
     nodes: set[str] = set()
     for node in node_list:
         node = _as_name(node, "topology", "node id")
-        _require(node not in nodes, DuplicateId(node))
+        _require(node not in nodes, DuplicateId, node)
         nodes.add(node)
 
     links: list[Link] = []
@@ -382,24 +383,24 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
     for entry in _as_list(raw.get("links", []), "topology", "links"):
         entry = _as_object(entry, "links", "link entry")
         link_id = _as_name(entry.get("id"), "links", "link id")
-        _require(link_id not in seen_link_ids, DuplicateId(link_id))
+        _require(link_id not in seen_link_ids, DuplicateId, link_id)
         a, b = entry.get("a"), entry.get("b")
         for endpoint in (a, b):
             _require(isinstance(endpoint, str) and endpoint in nodes,
-                     DanglingEndpoint(str(endpoint)))
-        _require(a != b, ValidationError(link_id, "link endpoints must differ"))
+                     DanglingEndpoint, str(endpoint))
+        _require(a != b, ValidationError, link_id, "link endpoints must differ")
         pair = frozenset((a, b))
         # Parallel links would make link ids underivable from node sequences.
-        _require(pair not in seen_pairs, DuplicateId(link_id))
+        _require(pair not in seen_pairs, DuplicateId, link_id)
         capacity = entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY)
         capacity = _as_int(capacity, link_id, "slot_capacity")
-        _require(capacity >= 1, InvalidCapacity(link_id, "slot_capacity must be >= 1"))
+        _require(capacity >= 1, InvalidCapacity, link_id, "slot_capacity must be >= 1")
         gbps = _as_positive(entry.get("slot_gbps", DEFAULT_SLOT_GBPS), InvalidCapacity,
                             link_id, "slot_gbps must be a finite number > 0")
         srlgs = _as_list(entry.get("srlgs", []), link_id, "srlgs")
         for tag in srlgs:
             _require(_as_int(tag, link_id, "srlg tag") >= 0,
-                     ValidationError(link_id, f"srlg tags must be >= 0, got {tag!r}"))
+                     ValidationError, link_id, f"srlg tags must be >= 0, got {tag!r}")
         seen_link_ids.add(link_id)
         seen_pairs.add(pair)
         links.append(Link(id=link_id, a=a, b=b, srlgs=frozenset(srlgs),
@@ -410,8 +411,8 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
     for entry in _as_list(raw.get("devices", []), "topology", "devices"):
         entry = _as_object(entry, "devices", "device entry")
         node = entry.get("node")
-        _require(isinstance(node, str) and node in nodes, DanglingEndpoint(str(node)))
-        _require(node not in seen_device_nodes, DuplicateId(node))
+        _require(isinstance(node, str) and node in nodes, DanglingEndpoint, str(node))
+        _require(node not in seen_device_nodes, DuplicateId, node)
         groups: list[PortGroup] = []
         seen_kinds: set[tuple[str, float]] = set()
         for port in _as_list(entry.get("ports", []), node, "ports"):
@@ -421,9 +422,9 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
             gbps = _as_positive(port.get("gbps"), InvalidCapacity, where,
                                 "port gbps must be a finite number > 0")
             count = _as_int(port.get("count"), where, "port count")
-            _require(count >= 1, InvalidCapacity(where, "port count must be >= 1"))
+            _require(count >= 1, InvalidCapacity, where, "port count must be >= 1")
             kind = (port_type, gbps)
-            _require(kind not in seen_kinds, DuplicateId(f"{where}@{gbps:g}"))
+            _require(kind not in seen_kinds, DuplicateId, f"{where}@{gbps:g}")
             seen_kinds.add(kind)
             groups.append(PortGroup(port_type=port_type, gbps=gbps, count=count))
         seen_device_nodes.add(node)
@@ -535,58 +536,40 @@ def bounds_to_dict(bounds: TraitBounds) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def derive_bounds(
-    topology: NetworkTopology,
-    request: SliceRequest,
-    mode=None,
-    view: ResourceView | None = None,
-) -> TraitBounds:
-    """Resolve per-request trait ranges against a topology.
-
-    Upper bounds: maximum disjoint-path count between the endpoints, the
-    smaller matching port inventory of the two endpoint devices, and the
-    smallest slot pool among considered links. With a ``view``, inventories
-    and pools are the current residuals and only the search's usable links
-    count, so the result reflects present rather than nominal feasibility.
-
-    Raises NoDevice when an endpoint has no device profile, NoMatchingPorts
-    when no port group matches the requested kind and ValidationError when
-    the view's search runs in another mode.
-    """
-    from .pathfind import DisjointnessMode, max_disjoint_count
-
-    if mode is None:
-        mode = DisjointnessMode.LINK_DISJOINT
-    if view is not None and view.search.mode != mode:
-        raise ValidationError("mode", "differs from the mode of the view's search")
-
-    port_caps = []
+def _check_endpoint_ports(topology: NetworkTopology, request: SliceRequest) -> None:
+    """Raise NoDevice or NoMatchingPorts for the first endpoint, src before
+    dst, whose device cannot supply the requested port kind. Needs no
+    search, so a caller can run it before building one."""
     spec = request.client_ports
     for node in (request.src, request.dst):
         device = topology.device_by_node.get(node)
         if device is None:
             raise NoDevice(node)
-        group = device.matching_group(spec.port_type, spec.gbps)
-        if group is None:
+        if device.matching_group(spec.port_type, spec.gbps) is None:
             raise NoMatchingPorts(node, spec.port_type, spec.gbps)
-        if view is None:
-            port_caps.append(group.count)
-        else:
-            port_caps.append(view.residual_ports.get(
-                (node, spec.port_type, spec.gbps), 0))
 
-    if view is None:
-        slot_pool = [link.slot_capacity for link in topology.links]
-        diversity = max_disjoint_count(topology, request.src, request.dst, mode)
-    else:
-        slot_pool = [view.residual_slots.get(link_id, 0)
-                     for link_id in view.search.usable]
-        diversity = view.search.count()
 
+def derive_bounds(request: SliceRequest, view: ResourceView) -> TraitBounds:
+    """Resolve per-request trait ranges against the network a view sees.
+
+    Upper bounds: the diversity ``view.search`` counts, in its mode over its
+    usable links; the smaller residual inventory of the matching port group
+    at the two endpoints; and the smallest residual slot pool among the
+    search's usable links. A view over a fresh ledger with an unrestricted
+    search gives the ranges of the topology as built.
+
+    Raises NoDevice when an endpoint has no device profile and
+    NoMatchingPorts when no port group matches the requested kind.
+    """
+    _check_endpoint_ports(view.search.topology, request)
+    spec = request.client_ports
+    ports = min(view.residual_ports.get((node, spec.port_type, spec.gbps), 0)
+                for node in (request.src, request.dst))
+    slot_pool = [view.residual_slots.get(link_id, 0) for link_id in view.search.usable]
     return TraitBounds(
         mode=BoundsMode.DERIVED,
-        topology=Bound(DIMENSION_FLOORS["topology"], diversity),
-        device=Bound(DIMENSION_FLOORS["device"], min(port_caps)),
+        topology=Bound(DIMENSION_FLOORS["topology"], view.search.count()),
+        device=Bound(DIMENSION_FLOORS["device"], ports),
         data_plane=Bound(DIMENSION_FLOORS["data_plane"],
                          min(slot_pool) if slot_pool else 0),
     )

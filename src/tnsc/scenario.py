@@ -21,6 +21,7 @@ from .controller import (
     ReconfigEntry,
     ReconfigPolicy,
     ReconfigOrder,
+    ResourceLedger,
 )
 from .errors import OutOfRange, ParseError, TnscError, ValidationError
 from .feasibility import (
@@ -35,6 +36,7 @@ from .model import (
     BoundsMode,
     NetworkTopology,
     Path,
+    ResourceView,
     SliceRequest,
     TraitBounds,
     _as_choice,
@@ -42,6 +44,7 @@ from .model import (
     _as_list,
     _as_name,
     _as_object,
+    _check_endpoint_ports,
     bounds_from_dict,
     bounds_to_dict,
     derive_bounds,
@@ -49,7 +52,7 @@ from .model import (
     topology_to_dict,
     validate_topology,
 )
-from .pathfind import DisjointnessMode
+from .pathfind import DisjointnessMode, DisjointSearch
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +406,13 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
              mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT) -> list[dict]:
     """Build one feasibility row per request.
 
-    Static bounds need no topology; derived bounds resolve per request.
+    Static bounds need no topology; derived bounds resolve per request
+    against the topology as built, through a fresh ledger's residuals.
     Normalization failures mark the row OUT_OF_RANGE instead of aborting,
     so a table renders even when some requests are infeasible.
     """
+    ledger = (ResourceLedger.from_topology(topology)
+              if bounds.mode is BoundsMode.DERIVED and topology is not None else None)
     rows = []
     for request in requests:
         row: dict = {"slice": request.id, "control": request.control,
@@ -420,7 +426,12 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 if topology is None:
                     raise ValidationError("bounds",
                                           "derived bounds require a topology")
-                resolved = derive_bounds(topology, request, mode)
+                # The search rejects endpoints that are not nodes, so the
+                # device checks run first and keep their reasons.
+                _check_endpoint_ports(topology, request)
+                resolved = derive_bounds(request, ResourceView(
+                    DisjointSearch(topology, request.src, request.dst, mode),
+                    ledger.residual_slots, ledger.residual_ports))
             else:
                 resolved = bounds
         except TnscError as err:

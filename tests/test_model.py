@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tnsc import (
@@ -8,11 +10,13 @@ from tnsc import (
     DisjointSearch,
     DisjointnessMode,
     Path,
+    ResourceLedger,
     ResourceView,
     TraitBounds,
     bounds_from_dict,
     build_vector,
     derive_bounds,
+    max_disjoint_count,
     topology_to_dict,
     validate_topology,
 )
@@ -27,6 +31,7 @@ from tnsc.errors import (
 )
 
 from .conftest import make_request, make_topology
+from .oracles import random_connected_topology
 
 
 FOUR_CYCLE = {
@@ -200,10 +205,19 @@ class TestPath:
             Path(nodes=("A", "B", "A"), links=("L1", "L2"))
 
 
+def fresh_view(topology, request, mode=DisjointnessMode.LINK_DISJOINT):
+    """The view of the network as built: an unrestricted search between the
+    request's endpoints over a fresh ledger's residuals."""
+    ledger = ResourceLedger.from_topology(topology)
+    return ResourceView(DisjointSearch(topology, request.src, request.dst, mode),
+                        ledger.residual_slots, ledger.residual_ports)
+
+
 class TestDeriveBounds:
     def test_four_cycle_reference_values(self, four_cycle):
         # Max-flow on the 4-cycle gives exactly 2 disjoint A-C paths.
-        bounds = derive_bounds(four_cycle, make_request())
+        request = make_request()
+        bounds = derive_bounds(request, fresh_view(four_cycle, request))
         assert bounds.topology == Bound(2, 2)
         assert bounds.device == Bound(1, 24)
         assert bounds.data_plane == Bound(1, 20)
@@ -211,8 +225,9 @@ class TestDeriveBounds:
 
     def test_missing_device(self):
         topology = make_topology("AB", [("L1", "A", "B")], [("A", 4)])
+        request = make_request(src="A", dst="B")
         with pytest.raises(NoDevice) as err:
-            derive_bounds(topology, make_request(src="A", dst="B"))
+            derive_bounds(request, fresh_view(topology, request))
         assert err.value.node == "B"
 
     def test_no_matching_ports(self):
@@ -221,30 +236,69 @@ class TestDeriveBounds:
             [{"node": "A", "ports": [{"type": "100GE", "gbps": 100, "count": 2}]},
              ("B", 4)],
         )
+        request = make_request(src="A", dst="B")
         with pytest.raises(NoMatchingPorts):
-            derive_bounds(topology, make_request(src="A", dst="B"))
+            derive_bounds(request, fresh_view(topology, request))
 
     def test_single_link_yields_unreachable_range(self):
         # One path only: h=1 < l=2 comes back as-is and the infeasibility
         # surfaces at normalization.
         topology = make_topology("AB", [("L1", "A", "B")], [("A", 24), ("B", 24)])
         request = make_request(src="A", dst="B")
-        bounds = derive_bounds(topology, request)
+        bounds = derive_bounds(request, fresh_view(topology, request))
         assert bounds.topology == Bound(2, 1)
         with pytest.raises(OutOfRange) as err:
             build_vector(request, bounds)
         assert err.value.dimension == "topology"
 
     def test_node_mode_matches_link_mode_on_cycle(self, four_cycle):
-        bounds = derive_bounds(four_cycle, make_request(),
-                               DisjointnessMode.NODE_DISJOINT)
+        request = make_request()
+        bounds = derive_bounds(request, fresh_view(four_cycle, request,
+                                                   DisjointnessMode.NODE_DISJOINT))
         assert bounds.topology == Bound(2, 2)
 
-    def test_view_search_in_another_mode_rejected(self, four_cycle):
-        search = DisjointSearch(four_cycle, "A", "C", DisjointnessMode.NODE_DISJOINT)
-        view = ResourceView(search=search, residual_slots={}, residual_ports={})
-        with pytest.raises(ValidationError):
-            derive_bounds(four_cycle, make_request(), view=view)
-        bounds = derive_bounds(four_cycle, make_request(),
-                               DisjointnessMode.NODE_DISJOINT, view=view)
-        assert bounds.topology == Bound(2, 2)
+    def test_view_search_mode_governs(self):
+        # Two link-disjoint A-C paths must share the cut node M here.
+        topology = make_topology(
+            "ABCDME",
+            [("L_AB", "A", "B"), ("L_BM", "B", "M"), ("L_AD", "A", "D"),
+             ("L_DM", "D", "M"), ("L_MC", "M", "C"), ("L_ME", "M", "E"),
+             ("L_EC", "E", "C")],
+            [("A", 24), ("C", 24)],
+        )
+        request = make_request()
+        for mode, diversity in ((DisjointnessMode.LINK_DISJOINT, 2),
+                                (DisjointnessMode.NODE_DISJOINT, 1)):
+            bounds = derive_bounds(request, fresh_view(topology, request, mode))
+            assert bounds.topology == Bound(2, diversity)
+
+    @pytest.mark.parametrize("mode", [DisjointnessMode.LINK_DISJOINT,
+                                      DisjointnessMode.NODE_DISJOINT])
+    def test_fresh_view_matches_nominal_oracle(self, mode):
+        # A view over a fresh ledger sees the network as built: the diversity
+        # max_disjoint_count finds, the smaller matching inventory and the
+        # smallest slot pool, on 200 random graphs of 10-40 nodes.
+        rng = random.Random(f"derive-bounds-{mode.value}")
+        checked = 0
+        while checked < 200:
+            raw = topology_to_dict(random_connected_topology(rng, max_nodes=40))
+            if len(raw["nodes"]) < 10:
+                continue
+            for link in raw["links"]:
+                link["slot_capacity"] = rng.randint(1, 40)
+            ports = {node: rng.randint(1, 48) for node in raw["nodes"]}
+            raw["devices"] = [
+                {"node": node, "ports": [{"type": "10GE", "gbps": 10, "count": count},
+                                         {"type": "100GE", "gbps": 100,
+                                          "count": rng.randint(1, 48)}]}
+                for node, count in ports.items()
+            ]
+            topology = validate_topology(raw)
+            src, dst = rng.sample(raw["nodes"], 2)
+            request = make_request(src=src, dst=dst)
+            bounds = derive_bounds(request, fresh_view(topology, request, mode))
+            assert bounds.topology == Bound(2, max_disjoint_count(topology, src, dst, mode))
+            assert bounds.device == Bound(1, min(ports[src], ports[dst]))
+            assert bounds.data_plane == Bound(
+                1, min(link["slot_capacity"] for link in raw["links"]))
+            checked += 1

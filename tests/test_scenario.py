@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from tnsc import (
+    PortSpec,
+    SliceRequest,
     canonical_json,
     evaluate,
     load_scenario,
@@ -267,6 +269,20 @@ class TestEvaluate:
         rows = evaluate([ts1], DERIVED_BOUNDS, topology=four_cycle)
         assert rows[0]["status"] == "ok"
         assert rows[0]["topology"]["h"] == 2
+
+    def test_derived_mode_unknown_endpoint_keeps_device_reasons(self, four_cycle):
+        from tnsc import DERIVED_BOUNDS
+
+        (row,) = evaluate([make_request(src="Z")], DERIVED_BOUNDS, topology=four_cycle)
+        assert row["status"] == "NoDevice"
+        assert row["error"] == {"node": "Z"}
+        # The src device and its ports are checked before the dst device.
+        request = SliceRequest(id="TS_1", src="A", dst="Z", control=False,
+                               disjoint_paths=2, client_ports=PortSpec("100GE", 100.0, 1),
+                               calendar_slots=1)
+        (row,) = evaluate([request], DERIVED_BOUNDS, topology=four_cycle)
+        assert row["status"] == "NoMatchingPorts"
+        assert row["error"]["node"] == "A"
 
     def test_rank_rows_order_and_tie_break(self, table2_bounds):
         rows = evaluate(
