@@ -60,7 +60,6 @@ from .pathfind import (
     DisjointSearch,
     k_disjoint_paths,
     max_disjoint_count,
-    shortest_path,
     verify_disjoint,
 )
 from .scenario import (

@@ -38,7 +38,7 @@ from .model import (
     TraitBounds,
     derive_bounds,
 )
-from .pathfind import DEFAULT_SRLG_BUDGET, DisjointnessMode, DisjointSearch
+from .pathfind import DisjointnessMode, DisjointSearch
 
 LINK_UP = "up"
 LINK_DOWN = "down"
@@ -148,17 +148,13 @@ class Controller:
         mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
         policy: ReconfigPolicy = ReconfigPolicy(),
         *,
-        link_costs: dict[str, float] | None = None,
         control_context_limit: int | None = None,
-        srlg_budget: int = DEFAULT_SRLG_BUDGET,
     ):
         self.topology = topology
         self.bounds = bounds
         self.mode = mode
         self.policy = policy
-        self.link_costs = dict(link_costs) if link_costs else None
         self.control_context_limit = control_context_limit
-        self.srlg_budget = srlg_budget
         self.ledger = ResourceLedger.from_topology(topology)
         self.records: dict[str, AllocationRecord] = {}
         self.requests: dict[str, SliceRequest] = {}
@@ -256,8 +252,7 @@ class Controller:
 
     def _search(self, request: SliceRequest, usable: frozenset[str]) -> DisjointSearch:
         return DisjointSearch(self.topology, request.src, request.dst, self.mode,
-                              link_costs=self.link_costs, usable_links=usable,
-                              srlg_budget=self.srlg_budget)
+                              usable_links=usable)
 
     def _diversity_reason(self, request: SliceRequest, search: DisjointSearch,
                           err: InsufficientDiversity) -> TnscError:

@@ -153,16 +153,6 @@ class UnknownDimension(ValidationError):
 # ---------------------------------------------------------------------------
 
 
-class Unreachable(TnscError):
-    def __init__(self, src: str, dst: str):
-        super().__init__(f"no path from {src!r} to {dst!r}")
-        self.src = src
-        self.dst = dst
-
-    def detail(self) -> dict:
-        return {"src": self.src, "dst": self.dst}
-
-
 class InsufficientDiversity(TnscError):
     """Fewer pairwise-disjoint paths exist than requested.
 

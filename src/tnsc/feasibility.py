@@ -196,7 +196,7 @@ def rank(requests: Sequence[SliceRequest], bounds: TraitBounds,
     ranked = []
     for request in requests:
         vector = build_vector(request, bounds)
-        index = merge_index(vector, request.weights or weights)
+        index = merge_index(vector, weights if request.weights is None else request.weights)
         ranked.append(RankedRequest(request.id, vector, index))
     ranked.sort(key=lambda r: (-r.index.value, r.slice_id))
     return ranked

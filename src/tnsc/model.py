@@ -246,11 +246,6 @@ class Path:
             links.append(link.id)
         return cls(nodes=tuple(nodes), links=tuple(links))
 
-    def cost(self, link_costs: Mapping[str, float] | None = None) -> float:
-        if link_costs is None:
-            return float(len(self.links))
-        return sum(link_costs.get(link, 1.0) for link in self.links)
-
 
 class AllocationState(str, Enum):
     ACTIVE = "active"

@@ -1,9 +1,10 @@
 """Disjoint-path computation between slice endpoints.
 
-Link- and node-disjoint sets are found with successive shortest augmenting
-paths over a unit-capacity residual network (negative-cost reverse arcs),
-which is optimal and immune to the trap topologies that defeat greedy
-removal. Risk-group disjointness is NP-hard in general, so that mode runs a
+Every link costs 1, so a path's cost is its hop count. Link- and
+node-disjoint sets are found with successive shortest augmenting paths over
+a unit-capacity residual network (negative-cost reverse arcs), which is
+optimal and immune to the trap topologies that defeat greedy removal.
+Risk-group disjointness is NP-hard in general, so that mode runs a
 budget-bounded backtracking search and reports budget exhaustion explicitly.
 """
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import InsufficientDiversity, Unreachable, ValidationError
+from .errors import InsufficientDiversity, ValidationError
 from .model import NetworkTopology, Path
 
 DEFAULT_SRLG_BUDGET = 1000
@@ -48,19 +49,6 @@ def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
             raise ValidationError(role, f"unknown node {node!r}")
     if src == dst:
         raise ValidationError("dst", "src and dst must differ")
-
-
-def _resolve_costs(topology: NetworkTopology,
-                   link_costs: Mapping[str, float] | None) -> dict[str, float]:
-    costs = {link.id: 1.0 for link in topology.links}
-    if link_costs:
-        for link_id, cost in link_costs.items():
-            if link_id not in costs:
-                raise ValidationError("link_costs", f"unknown link {link_id!r}")
-            if cost < 0:
-                raise ValidationError("link_costs", f"negative cost for link {link_id!r}")
-            costs[link_id] = float(cost)
-    return costs
 
 
 def _resolve_usable(topology: NetworkTopology,
@@ -121,7 +109,6 @@ class DisjointSearch:
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
                  mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
                  *,
-                 link_costs: Mapping[str, float] | None = None,
                  usable_links: frozenset[str] | set[str] | None = None,
                  srlg_budget: int = DEFAULT_SRLG_BUDGET):
         _check_endpoints(topology, src, dst)
@@ -129,7 +116,6 @@ class DisjointSearch:
         self.src = src
         self.dst = dst
         self.mode = mode
-        self.costs = _resolve_costs(topology, link_costs)
         self.usable = _resolve_usable(topology, usable_links)
         self.srlg_budget = srlg_budget
         self._flow = 0
@@ -139,17 +125,6 @@ class DisjointSearch:
         self._sink = (dst, _IN) if self._split else dst
 
     @cached_property
-    def _link_pairs(self) -> list[tuple[_Arc, _Arc]]:
-        into = {node: (node, _IN) if self._split else node for node in self.topology.nodes}
-        out = {node: (node, _OUT) if self._split else node for node in self.topology.nodes}
-        return [
-            (_Arc(out[link.a], into[link.b], self.costs[link.id], link.id),
-             _Arc(out[link.b], into[link.a], self.costs[link.id], link.id))
-            for link in sorted(self.topology.links, key=lambda l: l.id)
-            if link.id in self.usable
-        ]
-
-    @cached_property
     def _arcs(self) -> list[_Arc]:
         # Node splitting: a unit-capacity internal arc per intermediate node
         # makes arc-disjointness in the split graph equal node-disjointness
@@ -157,7 +132,15 @@ class DisjointSearch:
         internal = [_Arc((node, _IN), (node, _OUT), 0.0, None)
                     for node in sorted(self.topology.nodes)
                     if node not in (self.src, self.dst)] if self._split else []
-        return internal + [arc for pair in self._link_pairs for arc in pair]
+        into = {node: (node, _IN) if self._split else node for node in self.topology.nodes}
+        out = {node: (node, _OUT) if self._split else node for node in self.topology.nodes}
+        return internal + [
+            arc
+            for link in sorted(self.topology.links, key=lambda l: l.id)
+            if link.id in self.usable
+            for arc in (_Arc(out[link.a], into[link.b], 1.0, link.id),
+                        _Arc(out[link.b], into[link.a], 1.0, link.id))
+        ]
 
     def _augment_to(self, limit: float) -> int:
         """Augment until the flow is ``limit`` or saturated; returns the flow."""
@@ -172,14 +155,11 @@ class DisjointSearch:
         return self._flow
 
     def _decompose(self, k: int) -> list[Path]:
-        """Split the unit flow into k walks, loop-erased to simple paths."""
-        # Flow both ways over one link is a zero-cost cycle that no walk
-        # needs; the walks skip it, but it stays in the flow count() resumes.
-        cycles = {id(arc) for pair in self._link_pairs
-                  if pair[0].flow == 1 and pair[1].flow == 1 for arc in pair}
+        """Split the unit flow into k walks. Every cycle holds a link and so
+        costs more than zero, so a min-cost flow holds none and every walk
+        is a simple path."""
         outgoing: dict = {}
-        for arc in sorted((arc for arc in self._arcs
-                           if arc.flow == 1 and id(arc) not in cycles),
+        for arc in sorted((arc for arc in self._arcs if arc.flow == 1),
                           key=lambda a: (a.v, a.link or "")):
             outgoing.setdefault(arc.u, []).append(arc)
 
@@ -192,14 +172,8 @@ class DisjointSearch:
                 arc = outgoing[key].pop(0)
                 key = arc.v
                 if arc.link is not None:
-                    name = key[0] if self._split else key
-                    if name in nodes:
-                        cut = nodes.index(name)
-                        nodes = nodes[: cut + 1]
-                        links = links[:cut]
-                    else:
-                        nodes.append(name)
-                        links.append(arc.link)
+                    nodes.append(key[0] if self._split else key)
+                    links.append(arc.link)
             paths.append(Path(nodes=tuple(nodes), links=tuple(links)))
         return paths
 
@@ -212,13 +186,13 @@ class DisjointSearch:
             raise ValidationError("k", "must be at least 1")
         if self.mode is DisjointnessMode.SRLG_DISJOINT:
             paths = _srlg_disjoint(self.topology, self.src, self.dst, k,
-                                   self.costs, self.usable, self.srlg_budget)
+                                   self.usable, self.srlg_budget)
         elif self._augment_to(k) < k:
             raise InsufficientDiversity(requested=k, found=self._flow)
         else:
             paths = self._decompose(k)
 
-        paths.sort(key=lambda p: (p.cost(self.costs), p.nodes))
+        paths.sort(key=lambda p: (len(p.links), p.nodes))
         if not verify_disjoint(self.topology, paths, self.mode):
             raise RuntimeError("internal error: computed paths fail disjointness check")
         return paths
@@ -229,73 +203,49 @@ class DisjointSearch:
         self._counted = True
         if self.mode is not DisjointnessMode.SRLG_DISJOINT:
             return self._augment_to(math.inf)
+        # Every probe k <= ceiling walks the same depth-first tree in the
+        # same order and stops where it first holds k paths, so one search
+        # for the ceiling finds as deep a set as any probe would.
         ceiling = DisjointSearch(self.topology, self.src, self.dst,
                                  usable_links=self.usable).count()
-        for k in range(1, ceiling + 1):
-            try:
-                _srlg_disjoint(self.topology, self.src, self.dst, k,
-                               self.costs, self.usable, self.srlg_budget)
-            except InsufficientDiversity:
-                return k - 1
+        try:
+            _srlg_disjoint(self.topology, self.src, self.dst, ceiling,
+                           self.usable, self.srlg_budget)
+        except InsufficientDiversity as err:
+            return err.found
         return ceiling
-
-
-def shortest_path(topology: NetworkTopology, src: str, dst: str,
-                  link_costs: Mapping[str, float] | None = None,
-                  usable_links: frozenset[str] | set[str] | None = None) -> Path:
-    """Minimum-cost simple path; ties resolve to the lexicographically
-    smallest node sequence. Raises Unreachable when no path exists."""
-    _check_endpoints(topology, src, dst)
-    costs = _resolve_costs(topology, link_costs)
-    usable = _resolve_usable(topology, usable_links)
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
-    settled: set[str] = set()
-    while heap:
-        cost, nodes = heapq.heappop(heap)
-        last = nodes[-1]
-        if last in settled:
-            continue
-        settled.add(last)
-        if last == dst:
-            return Path.through(topology, nodes)
-        for neighbor, link_id in topology.adjacency[last]:
-            if link_id in usable and neighbor not in settled:
-                heapq.heappush(heap, (cost + costs[link_id], nodes + (neighbor,)))
-    raise Unreachable(src, dst)
 
 
 def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
                      mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
                      *,
-                     link_costs: Mapping[str, float] | None = None,
                      usable_links: frozenset[str] | set[str] | None = None,
                      srlg_budget: int = DEFAULT_SRLG_BUDGET) -> list[Path]:
     """Compute k pairwise-disjoint simple paths between src and dst.
 
-    Link and node modes minimize the summed path cost over all valid sets
+    Link and node modes minimize the total hop count over all valid sets
     and report the true maximum diversity on failure. SRLG mode is a bounded
     search: InsufficientDiversity with ``budget_exhausted`` set means the
     search gave up, not that no set exists. The returned list is sorted by
-    (cost, node sequence) and is deterministic for identical inputs.
+    (hop count, node sequence) and is deterministic for identical inputs.
     """
-    return DisjointSearch(topology, src, dst, mode, link_costs=link_costs,
-                          usable_links=usable_links, srlg_budget=srlg_budget).paths(k)
+    return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
+                          srlg_budget=srlg_budget).paths(k)
 
 
 def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
                        mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
                        *,
-                       link_costs: Mapping[str, float] | None = None,
                        usable_links: frozenset[str] | set[str] | None = None,
                        srlg_budget: int = DEFAULT_SRLG_BUDGET) -> int:
     """Largest k for which k disjoint paths exist (0 when unreachable).
 
     Link and node modes are exact via max flow with unit capacities; SRLG
-    mode probes increasing k with the bounded search and is conservative
-    when the budget runs out.
+    mode runs the bounded search for the link-mode count and is
+    conservative when the budget runs out.
     """
-    return DisjointSearch(topology, src, dst, mode, link_costs=link_costs,
-                          usable_links=usable_links, srlg_budget=srlg_budget).count()
+    return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
+                          srlg_budget=srlg_budget).count()
 
 
 def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
@@ -359,29 +309,27 @@ class _Budget:
 
 
 def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
-                          allowed: set[str], costs: Mapping[str, float],
-                          budget: _Budget) -> Iterator[Path]:
-    """Yield simple paths in (cost, node sequence) order. Every heap
+                          allowed: set[str], budget: _Budget) -> Iterator[Path]:
+    """Yield simple paths in (hop count, node sequence) order. Every heap
     expansion spends one unit of the shared search budget."""
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    heap: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
     while heap:
         budget.spend()
-        cost, nodes = heapq.heappop(heap)
+        hops, nodes = heapq.heappop(heap)
         last = nodes[-1]
         if last == dst:
             yield Path.through(topology, nodes)
             continue
         for neighbor, link_id in topology.adjacency[last]:
             if link_id in allowed and neighbor not in nodes:
-                heapq.heappush(heap, (cost + costs[link_id], nodes + (neighbor,)))
+                heapq.heappush(heap, (hops + 1, nodes + (neighbor,)))
 
 
 def _srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
-                   costs: Mapping[str, float], usable: set[str],
-                   budget_limit: int) -> list[Path]:
+                   usable: set[str], budget_limit: int) -> list[Path]:
     """Backtracking over path choices: each level excludes the links and
     risk groups claimed so far. First full set found wins, so the result is
-    deterministic but not necessarily cost-minimal."""
+    deterministic but not necessarily hop-minimal."""
     budget = _Budget(budget_limit)
     deepest = 0
 
@@ -396,7 +344,7 @@ def _srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
             if link_id not in used_links
             and not (topology.link_by_id[link_id].srlgs & used_srlgs)
         }
-        for path in _ordered_simple_paths(topology, src, dst, allowed, costs, budget):
+        for path in _ordered_simple_paths(topology, src, dst, allowed, budget):
             result = search(
                 chosen + [path],
                 used_links | set(path.links),

@@ -457,7 +457,7 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             vector = FeasibilityVector(slice_id=request.id,
                                        boolean_traits={"control": request.control},
                                        numeric_traits=traits)
-            index = merge_index(vector, request.weights or weights)
+            index = merge_index(vector, weights if request.weights is None else request.weights)
             row["index"] = index.value
             row["index_display"] = _round3(index.value)
         rows.append(row)

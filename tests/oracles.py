@@ -80,6 +80,28 @@ def max_disjoint_brute(topology: NetworkTopology, src: str, dst: str,
     return count
 
 
+def min_total_hops(topology: NetworkTopology, src: str, dst: str, k: int,
+                   mode: DisjointnessMode) -> int | None:
+    """Fewest summed hops over all sets of k pairwise-disjoint simple
+    paths, or None when no such set exists."""
+    paths = enumerate_simple_paths(topology, src, dst)
+    best = None
+
+    def extend(start: int, chosen: list, hops: int) -> None:
+        nonlocal best
+        if len(chosen) == k:
+            best = hops if best is None else min(best, hops)
+            return
+        for i in range(start, len(paths)):
+            candidate = paths[i]
+            if all(pair_disjoint(topology, candidate, have, mode)
+                   for have in chosen):
+                extend(i + 1, chosen + [candidate], hops + len(candidate) - 1)
+
+    extend(0, [], 0)
+    return best
+
+
 def falling_fraction(r: int, l: int, h: int) -> Fraction:
     if l == h:
         return Fraction(1)

@@ -178,6 +178,20 @@ def test_weights_file_applies(inputs, tmp_path, capsys):
     assert rows[0]["index"] < 0.6506024096385542
 
 
+def test_empty_row_weights_replace_weights_file(inputs, tmp_path, capsys):
+    """A row's own weights replace the --weights file as a whole map, so an
+    empty one merges with every weight 1, as if no file were given."""
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"device": 5, "topology": 1.5}))
+    single = tmp_path / "one.json"
+    single.write_text(json.dumps([{**REQUESTS[0], "weights": {}}]))
+    code = main(["evaluate", "--requests", str(single),
+                 "--bounds", inputs["bounds"], "--weights", str(weights)])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["index"] == 0.6506024096385542
+
+
 TABLE = json.loads((DATA / "table_inputs.json").read_text())
 TABLE_GOLDEN = json.loads((DATA / "table_golden.json").read_text())
 

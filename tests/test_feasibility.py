@@ -197,6 +197,11 @@ class TestRank:
             rank([make_request("TS_BAD", p=9)], table2_bounds)
         assert err.value.slice_id == "TS_BAD"
 
+    def test_empty_request_weights_replace_call_weights(self, table2_bounds):
+        ranked = rank([make_request(weights={})], table2_bounds,
+                      weights={"device": 5, "topology": 1.5})
+        assert ranked[0].index.value == TS1_INDEX
+
 
 class TestCompareDimension:
     def test_device_favors_second(self, ts1, ts2, table2_bounds):

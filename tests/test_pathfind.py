@@ -10,13 +10,17 @@ from tnsc import (
     Path,
     k_disjoint_paths,
     max_disjoint_count,
-    shortest_path,
     verify_disjoint,
 )
-from tnsc.errors import InsufficientDiversity, Unreachable
+from tnsc.errors import InsufficientDiversity
 
 from .conftest import make_topology
-from .oracles import exists_k_disjoint, max_disjoint_brute, random_connected_topology
+from .oracles import (
+    exists_k_disjoint,
+    max_disjoint_brute,
+    min_total_hops,
+    random_connected_topology,
+)
 
 LINK = DisjointnessMode.LINK_DISJOINT
 NODE = DisjointnessMode.NODE_DISJOINT
@@ -40,32 +44,6 @@ def trap():
         [("L_SA", "S", "A"), ("L_AB", "A", "B"), ("L_BT", "B", "T"),
          ("L_SB", "S", "B", {"slot_capacity": 20}), ("L_AT", "A", "T")],
     )
-
-
-class TestShortestPath:
-    def test_direct_link(self, four_cycle):
-        assert shortest_path(four_cycle, "A", "B").nodes == ("A", "B")
-
-    def test_lexicographic_tie_break(self, four_cycle):
-        # [A,B,C] and [A,D,C] cost the same; the smaller node sequence wins.
-        assert shortest_path(four_cycle, "A", "C").nodes == ("A", "B", "C")
-
-    def test_unreachable(self):
-        topology = make_topology("ABC", [("L1", "A", "B")])
-        with pytest.raises(Unreachable):
-            shortest_path(topology, "A", "C")
-
-    def test_cost_override_reroutes(self, four_cycle):
-        path = shortest_path(four_cycle, "A", "C", link_costs={"L_AB": 10.0})
-        assert path.nodes == ("A", "D", "C")
-
-    def test_negative_cost_rejected(self, four_cycle):
-        with pytest.raises(ValueError):
-            shortest_path(four_cycle, "A", "C", link_costs={"L_AB": -1.0})
-
-    def test_unknown_node_rejected(self, four_cycle):
-        with pytest.raises(ValueError):
-            shortest_path(four_cycle, "A", "Z")
 
 
 class TestKDisjointPaths:
@@ -207,6 +185,29 @@ class TestMaxDisjointCount:
         assert max_disjoint_count(topology, "A", "C", LINK) == 2
         assert max_disjoint_count(topology, "A", "C", SRLG) == 1
 
+    def test_srlg_count_matches_probe_loop(self):
+        """The SRLG count runs one bounded search for the link-mode ceiling.
+        It must equal the answer of probing k = 1, 2, ... with a fresh
+        budget each and stopping at the first k that fails, including when
+        the budget runs out."""
+        rng = random.Random(5051)
+        for _ in range(120):
+            topology = random_connected_topology(rng, max_nodes=9, srlg_pool=4)
+            usable = {link.id for link in topology.links if rng.random() < 0.9}
+            src, dst = rng.sample(sorted(topology.nodes), 2)
+            ceiling = max_disjoint_count(topology, src, dst, LINK, usable_links=usable)
+            for budget in (1, 2, 3, 5, 8, 20, 1000):
+                probed = 0
+                for k in range(1, ceiling + 1):
+                    try:
+                        k_disjoint_paths(topology, src, dst, k, SRLG,
+                                         usable_links=usable, srlg_budget=budget)
+                    except InsufficientDiversity:
+                        break
+                    probed = k
+                assert max_disjoint_count(topology, src, dst, SRLG, usable_links=usable,
+                                          srlg_budget=budget) == probed
+
 
 class TestVerifyDisjoint:
     def test_accepts_valid_pair(self, four_cycle):
@@ -257,11 +258,14 @@ class TestOracleEquivalence:
                 except InsufficientDiversity as err:
                     assert k > brute_max
                     assert err.found == brute_max
+                else:
+                    hops = sum(len(path.links) for path in paths)
+                    assert hops == min_total_hops(topology, src, dst, k, mode)
 
 
-def random_costed_topology(rng):
+def random_sparse_topology(rng):
     """Connected graph of 10-60 nodes: a random spanning tree plus n/4 to n
-    chords, with link costs from {0, 0.5, 1, 2, 3}, a third of them zero."""
+    chords."""
     n = rng.randint(10, 60)
     names = [f"v{i:02d}" for i in range(n)]
     pairs = {frozenset((names[i], rng.choice(names[:i]))) for i in range(1, n)}
@@ -269,24 +273,23 @@ def random_costed_topology(rng):
     while len(pairs) < target:
         pairs.add(frozenset(rng.sample(names, 2)))
     links = [(f"L{i:03d}", *sorted(pair)) for i, pair in enumerate(sorted(pairs, key=sorted))]
-    costs = {link[0]: rng.choice((0, 0, 0.5, 1, 2, 3)) for link in links}
-    return make_topology(names, links), costs
+    return make_topology(names, links)
 
 
 class TestDisjointSearch:
     def test_count_resumes_from_paths(self):
-        """paths(k) then count() on one search matches a fresh search for
-        each, for every k up to one past the maximum. Zero-cost links let
-        flow run both ways over a link, which the walks of paths() skip and
-        the resumed count keeps."""
+        """paths(k) then count() on one search, and paths(1), paths(2), ...
+        then count() on another, match a fresh search for each, for every k
+        up to one past the maximum."""
         rng = random.Random(3034)
         for _ in range(300):
-            topology, costs = random_costed_topology(rng)
+            topology = random_sparse_topology(rng)
             usable = {link.id for link in topology.links if rng.random() < 0.85}
             src, dst = rng.sample(sorted(topology.nodes), 2)
             for mode in (LINK, NODE):
-                options = {"link_costs": costs, "usable_links": usable}
+                options = {"usable_links": usable}
                 most = max_disjoint_count(topology, src, dst, mode, **options)
+                grown = DisjointSearch(topology, src, dst, mode, **options)
                 for k in range(1, most + 2):
                     search = DisjointSearch(topology, src, dst, mode, **options)
                     try:
@@ -297,34 +300,9 @@ class TestDisjointSearch:
                         assert k <= most
                         assert paths == k_disjoint_paths(topology, src, dst, k,
                                                          mode, **options)
+                        assert grown.paths(k) == paths
                     assert search.count() == most
-
-    def test_count_resumes_past_node_mode_cycle(self):
-        """The second augmentation ties between entering a by the link b-a
-        and by the reverse internal route, and takes the link, leaving a
-        zero-cost cycle a->b->a that also holds a's and b's internal arcs.
-        The walks must skip that cycle without erasing it from the flow,
-        or the resumed count can no longer route s-u-a-b-t."""
-        topology = make_topology(
-            "styabxzwu",
-            [("L_sy", "s", "y"), ("L_ya", "y", "a"), ("L_ab", "a", "b"),
-             ("L_bx", "b", "x"), ("L_xt", "x", "t"), ("L_sz", "s", "z"),
-             ("L_zx", "z", "x"), ("L_yw", "y", "w"), ("L_wt", "w", "t"),
-             ("L_su", "s", "u"), ("L_ua", "u", "a"), ("L_bt", "b", "t")])
-        costs = {"L_sy": 0, "L_ya": 0, "L_ab": 0, "L_bx": 0, "L_xt": 0,
-                 "L_sz": 1, "L_zx": 1, "L_yw": 1, "L_wt": 1,
-                 "L_su": 5, "L_ua": 5, "L_bt": 5}
-        most = max_disjoint_count(topology, "s", "t", NODE, link_costs=costs)
-        assert most == 3
-        search = DisjointSearch(topology, "s", "t", NODE, link_costs=costs)
-        assert search.paths(2) == k_disjoint_paths(topology, "s", "t", 2, NODE,
-                                                   link_costs=costs)
-        assert search.paths(3) == k_disjoint_paths(topology, "s", "t", 3, NODE,
-                                                   link_costs=costs)
-        assert search.count() == most
-        search = DisjointSearch(topology, "s", "t", NODE, link_costs=costs)
-        search.paths(2)
-        assert search.count() == most
+                assert grown.count() == most
 
     def test_paths_after_count_raises(self, theta):
         search = DisjointSearch(theta, "A", "C", NODE)

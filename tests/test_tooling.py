@@ -1,7 +1,7 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
 module and name, so renaming or moving one must fail here, not first in a
 traced benchmark run. The package's modules must also import each other
-without a cycle at run time."""
+without a cycle at run time, and the README's library example must run."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "tnsc"
+README = ROOT / "README.md"
 
 
 def test_traced_entry_points_resolve():
@@ -53,3 +54,10 @@ def test_runtime_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as err:
         raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The README's first Python block runs as written from the repo root."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, str(README), "exec"), {})
