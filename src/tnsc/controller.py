@@ -257,15 +257,22 @@ class Controller:
     def _diversity_reason(self, request: SliceRequest, search: DisjointSearch,
                           err: InsufficientDiversity) -> TnscError:
         """Blame slots when the up network alone would have been diverse
-        enough; otherwise the shortage is structural."""
+        enough; otherwise the shortage is structural. In link and node
+        modes k paths exist exactly when the maximum flow is at least k, so
+        the up network's count answers without a second path search; the
+        budget-bounded SRLG count is not equivalent, so that mode searches."""
         up_only = self._usable_links(0)
-        if up_only != search.usable:
+        if up_only == search.usable:
+            return err
+        up = self._search(request, up_only)
+        if self.mode is DisjointnessMode.SRLG_DISJOINT:
             try:
-                self._search(request, up_only).paths(request.disjoint_paths)
-                return SlotExhausted(request.calendar_slots)
+                up.paths(request.disjoint_paths)
             except InsufficientDiversity:
-                pass
-        return err
+                return err
+        elif up.count() < request.disjoint_paths:
+            return err
+        return SlotExhausted(request.calendar_slots)
 
     def _evaluate(self, request: SliceRequest, search: DisjointSearch | None = None,
                   ) -> tuple[FeasibilityVector, FeasibilityIndex]:

@@ -1,10 +1,13 @@
 """Disjoint-path computation between slice endpoints.
 
 Every link costs 1, so a path's cost is its hop count. Link- and
-node-disjoint sets are found with successive shortest augmenting paths over
-a unit-capacity residual network (negative-cost reverse arcs), which is
-optimal and immune to the trap topologies that defeat greedy removal.
-Risk-group disjointness is NP-hard in general, so that mode runs a
+node-disjoint k-sets come from min-cost augmentation: k successive
+Bellman-Ford shortest augmenting paths over a unit-capacity residual network
+(negative-cost reverse arcs), compiled once per search to integer-indexed
+arcs. That is optimal and immune to the trap topologies that defeat greedy
+removal. The maximum diversity comes from breadth-first max-flow
+augmentation resumed from the same flow on the same arcs. Risk-group
+disjointness is NP-hard in general, so that mode runs a
 budget-bounded backtracking search and reports budget exhaustion explicitly.
 """
 
@@ -12,8 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from functools import cached_property
 
@@ -22,25 +24,11 @@ from .model import NetworkTopology, Path
 
 DEFAULT_SRLG_BUDGET = 1000
 
-# Flow-graph node keys: plain node ids in link mode, (id, side) pairs after
-# node splitting, where side 0 is the ingress half and 1 the egress half.
-_IN = 0
-_OUT = 1
-
 
 class DisjointnessMode(str, Enum):
     LINK_DISJOINT = "link_disjoint"
     NODE_DISJOINT = "node_disjoint"
     SRLG_DISJOINT = "srlg_disjoint"
-
-
-@dataclass
-class _Arc:
-    u: object
-    v: object
-    cost: float
-    link: str | None
-    flow: int = 0
 
 
 def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
@@ -61,49 +49,42 @@ def _resolve_usable(topology: NetworkTopology,
     return set(usable_links)
 
 
-def _residual_shortest(arcs: list[_Arc], source, sink,
-                       node_count: int) -> list[tuple[_Arc, bool]] | None:
-    """Bellman-Ford over the residual graph (reverse arcs carry negated
-    cost). Returns the augmenting steps from source to sink, or None."""
-    dist: dict = {source: 0.0}
-    pred: dict = {}
+def _residual_shortest(residual: list[tuple[int, int, int, int]], source: int,
+                       sink: int, node_count: int) -> list[int] | None:
+    """Bellman-Ford with Gauss-Seidel passes over the residual arcs
+    (tail, head, cost, index) in list order. Returns each node's
+    predecessor arc index, or None when the sink is unreachable. The arc
+    order and the strict comparison fix which of several equal-cost paths
+    is found, and with it every k-set."""
+    dist = [math.inf] * node_count
+    dist[source] = 0
+    pred = [0] * node_count
     for _ in range(node_count + 1):
         changed = False
-        for arc in arcs:
-            if arc.flow == 0 and arc.u in dist:
-                candidate = dist[arc.u] + arc.cost
-                if candidate < dist.get(arc.v, float("inf")):
-                    dist[arc.v] = candidate
-                    pred[arc.v] = (arc.u, arc, True)
-                    changed = True
-            if arc.flow == 1 and arc.v in dist:
-                candidate = dist[arc.v] - arc.cost
-                if candidate < dist.get(arc.u, float("inf")):
-                    dist[arc.u] = candidate
-                    pred[arc.u] = (arc.v, arc, False)
-                    changed = True
+        for tail, head, cost, index in residual:
+            candidate = dist[tail] + cost
+            if candidate < dist[head]:
+                dist[head] = candidate
+                pred[head] = index
+                changed = True
         if not changed:
             break
     else:
         raise RuntimeError("negative cycle in residual graph")
-    if sink not in dist:
-        return None
-    steps: list[tuple[_Arc, bool]] = []
-    node = sink
-    while node != source:
-        prev, arc, forward = pred[node]
-        steps.append((arc, forward))
-        node = prev
-    steps.reverse()
-    return steps
+    return None if dist[sink] == math.inf else pred
 
 
 class DisjointSearch:
     """One disjoint-path search between two endpoints: ``paths(k)`` gives
-    the k-set and ``count()`` the maximum diversity. Link and node modes
-    share one residual network, built on first use, and ``count()`` resumes
-    from the flow ``paths(k)`` left, so a decision costs one max-flow solve.
-    SRLG mode runs the bounded search for each call.
+    the k-set and ``count()`` the maximum diversity.
+
+    Link and node modes compile one residual network to integer-indexed
+    arcs. ``paths(k)`` augments along k Bellman-Ford shortest paths, a
+    min-cost flow whose decomposition is the k-set; ``count()`` resumes
+    from that flow with breadth-first augmenting paths until none is left,
+    since a maximum flow's value does not depend on the augmenting order.
+    The flow is no longer min-cost after ``count()``, so ``paths()`` refuses
+    to run after it. SRLG mode runs the bounded search for each call.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
@@ -120,61 +101,104 @@ class DisjointSearch:
         self.srlg_budget = srlg_budget
         self._flow = 0
         self._counted = False
-        self._split = mode is DisjointnessMode.NODE_DISJOINT
-        self._source = (src, _OUT) if self._split else src
-        self._sink = (dst, _IN) if self._split else dst
+        if mode is not DisjointnessMode.SRLG_DISJOINT:
+            self._compile(mode is DisjointnessMode.NODE_DISJOINT)
 
-    @cached_property
-    def _arcs(self) -> list[_Arc]:
-        # Node splitting: a unit-capacity internal arc per intermediate node
-        # makes arc-disjointness in the split graph equal node-disjointness
-        # in the original. Endpoints get no internal arc; they are shared.
-        internal = [_Arc((node, _IN), (node, _OUT), 0.0, None)
-                    for node in sorted(self.topology.nodes)
-                    if node not in (self.src, self.dst)] if self._split else []
-        into = {node: (node, _IN) if self._split else node for node in self.topology.nodes}
-        out = {node: (node, _OUT) if self._split else node for node in self.topology.nodes}
-        return internal + [
-            arc
-            for link in sorted(self.topology.links, key=lambda l: l.id)
-            if link.id in self.usable
-            for arc in (_Arc(out[link.a], into[link.b], 1.0, link.id),
-                        _Arc(out[link.b], into[link.a], 1.0, link.id))
-        ]
+    def _compile(self, split: bool) -> None:
+        # Node i of the sorted ids is index i. Node splitting makes it an
+        # ingress half 2i and an egress half 2i+1 joined by a unit-capacity
+        # internal arc, so arc-disjointness in the split graph is
+        # node-disjointness in the original; the endpoints are shared and
+        # get none. Internal arcs come first, then each usable link's a->b
+        # and b->a arcs in link id order. Arc e is (tail, head, cost, e); it
+        # carries flow while its residual entry is the reverse
+        # (head, tail, -cost, e).
+        self._names = sorted(self.topology.nodes)
+        self._width = width = 2 if split else 1
+        egress = width - 1
+        index = {node: i for i, node in enumerate(self._names)}
+        src, dst = index[self.src], index[self.dst]
+        ends = [(2 * i, 2 * i + 1, 0) for i in range(len(self._names))
+                if split and i not in (src, dst)]
+        self._links: list[str | None] = [None] * len(ends)
+        for link in sorted(self.topology.links, key=lambda l: l.id):
+            if link.id in self.usable:
+                a, b = width * index[link.a], width * index[link.b]
+                ends += [(a + egress, b, 1), (b + egress, a, 1)]
+                self._links += [link.id, link.id]
+        self._arcs = [(tail, head, cost, e) for e, (tail, head, cost) in enumerate(ends)]
+        self._residual = list(self._arcs)
+        self._node_count = width * len(self._names)
+        self._source, self._sink = width * src + egress, width * dst
 
-    def _augment_to(self, limit: float) -> int:
-        """Augment until the flow is ``limit`` or saturated; returns the flow."""
-        node_count = len(self.topology.nodes) * (2 if self._split else 1)
-        while self._flow < limit:
-            steps = _residual_shortest(self._arcs, self._source, self._sink, node_count)
-            if steps is None:
+    def _augment_to(self, k: float, find_path: Callable[[], list | None]) -> int:
+        """Augment along the paths ``find_path`` traces, as predecessor arcs
+        from the sink, until the flow is k or no path is left."""
+        residual = self._residual
+        while self._flow < k:
+            pred = find_path()
+            if pred is None:
                 break
-            for arc, forward in steps:
-                arc.flow = 1 if forward else 0
+            node = self._sink
+            while node != self._source:
+                tail, head, cost, e = residual[pred[node]]
+                residual[e] = (head, tail, -cost, e)
+                node = tail
             self._flow += 1
         return self._flow
 
+    def _shortest(self) -> list[int] | None:
+        """Predecessor arcs of a min-cost augmenting path, or None."""
+        return _residual_shortest(self._residual, self._source, self._sink,
+                                  self._node_count)
+
+    @cached_property
+    def _incident(self) -> list[list[int]]:
+        """Per node, the arcs that start or end there, in either direction."""
+        incident: list[list[int]] = [[] for _ in range(self._node_count)]
+        for tail, head, _, e in self._arcs:
+            incident[tail].append(e)
+            incident[head].append(e)
+        return incident
+
+    def _breadth_first(self) -> list[int | None] | None:
+        """Predecessor arcs of a fewest-arc augmenting path, or None."""
+        pred: list[int | None] = [None] * self._node_count
+        pred[self._source] = -1
+        queue = [self._source]
+        for node in queue:
+            for e in self._incident[node]:
+                tail, head, _, _ = self._residual[e]
+                if tail == node and pred[head] is None:
+                    pred[head] = e
+                    if head == self._sink:
+                        return pred
+                    queue.append(head)
+        return None
+
     def _decompose(self, k: int) -> list[Path]:
-        """Split the unit flow into k walks. Every cycle holds a link and so
-        costs more than zero, so a min-cost flow holds none and every walk
-        is a simple path."""
-        outgoing: dict = {}
-        for arc in sorted((arc for arc in self._arcs if arc.flow == 1),
-                          key=lambda a: (a.v, a.link or "")):
-            outgoing.setdefault(arc.u, []).append(arc)
+        """Split the unit flow into k walks, taking each node's carrying arcs
+        in (head, link id) order. Every cycle holds a link and so costs more
+        than zero, so a min-cost flow holds none and every walk is a simple
+        path."""
+        arcs, links = self._arcs, self._links
+        outgoing: dict[int, list[int]] = {}
+        for _, _, e in sorted((arcs[e][1], links[e] or "", e)
+                              for e, arc in enumerate(self._residual) if arc != arcs[e]):
+            outgoing.setdefault(arcs[e][0], []).append(e)
 
         paths = []
         for _ in range(k):
             nodes = [self.src]
-            links: list[str] = []
-            key = self._source
-            while key != self._sink:
-                arc = outgoing[key].pop(0)
-                key = arc.v
-                if arc.link is not None:
-                    nodes.append(key[0] if self._split else key)
-                    links.append(arc.link)
-            paths.append(Path(nodes=tuple(nodes), links=tuple(links)))
+            path_links: list[str] = []
+            node = self._source
+            while node != self._sink:
+                e = outgoing[node].pop(0)
+                node = arcs[e][1]
+                if links[e] is not None:
+                    nodes.append(self._names[node // self._width])
+                    path_links.append(links[e])
+            paths.append(Path(nodes=tuple(nodes), links=tuple(path_links)))
         return paths
 
     def paths(self, k: int) -> list[Path]:
@@ -187,7 +211,7 @@ class DisjointSearch:
         if self.mode is DisjointnessMode.SRLG_DISJOINT:
             paths = _srlg_disjoint(self.topology, self.src, self.dst, k,
                                    self.usable, self.srlg_budget)
-        elif self._augment_to(k) < k:
+        elif self._augment_to(k, self._shortest) < k:
             raise InsufficientDiversity(requested=k, found=self._flow)
         else:
             paths = self._decompose(k)
@@ -202,7 +226,7 @@ class DisjointSearch:
         ``paths`` left."""
         self._counted = True
         if self.mode is not DisjointnessMode.SRLG_DISJOINT:
-            return self._augment_to(math.inf)
+            return self._augment_to(math.inf, self._breadth_first)
         # Every probe k <= ceiling walks the same depth-first tree in the
         # same order and stops where it first holds k paths, so one search
         # for the ceiling finds as deep a set as any probe would.

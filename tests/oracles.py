@@ -1,15 +1,19 @@
 """Independent reference implementations for cross-checking the library.
 
 Nothing here calls into the search or merge code under test: paths come
-from exhaustive enumeration, disjointness from raw set intersections, and
-the numeric references from exact rational arithmetic.
+from exhaustive enumeration or from the dict-keyed flow engine that the
+array engine in ``tnsc.pathfind`` replaced, disjointness from raw set
+intersections, and the numeric references from exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from tnsc import DisjointnessMode, NetworkTopology
+from tnsc import DisjointnessMode, NetworkTopology, Path
+from tnsc.errors import InsufficientDiversity
 
 
 def enumerate_simple_paths(topology: NetworkTopology, src: str, dst: str):
@@ -102,6 +106,134 @@ def min_total_hops(topology: NetworkTopology, src: str, dst: str, k: int,
     return best
 
 
+# ---------------------------------------------------------------------------
+# Reference flow engine: successive shortest augmenting paths, dict-keyed
+# ---------------------------------------------------------------------------
+
+_IN = 0
+_OUT = 1
+
+
+@dataclass
+class _Arc:
+    u: object
+    v: object
+    cost: float
+    link: str | None
+    flow: int = 0
+
+
+def _residual_shortest(arcs: list[_Arc], source, sink,
+                       node_count: int) -> list[tuple[_Arc, bool]] | None:
+    """Bellman-Ford over the residual graph (reverse arcs carry negated
+    cost). Returns the augmenting steps from source to sink, or None."""
+    dist: dict = {source: 0.0}
+    pred: dict = {}
+    for _ in range(node_count + 1):
+        changed = False
+        for arc in arcs:
+            if arc.flow == 0 and arc.u in dist:
+                candidate = dist[arc.u] + arc.cost
+                if candidate < dist.get(arc.v, float("inf")):
+                    dist[arc.v] = candidate
+                    pred[arc.v] = (arc.u, arc, True)
+                    changed = True
+            if arc.flow == 1 and arc.v in dist:
+                candidate = dist[arc.v] - arc.cost
+                if candidate < dist.get(arc.u, float("inf")):
+                    dist[arc.u] = candidate
+                    pred[arc.u] = (arc.v, arc, False)
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("negative cycle in residual graph")
+    if sink not in dist:
+        return None
+    steps: list[tuple[_Arc, bool]] = []
+    node = sink
+    while node != source:
+        prev, arc, forward = pred[node]
+        steps.append((arc, forward))
+        node = prev
+    steps.reverse()
+    return steps
+
+
+class ReferenceSearch:
+    """Link- and node-disjoint search on ``_Arc`` objects keyed by node id
+    or (id, side): every augmentation, the count included, is a
+    Bellman-Ford shortest path. ``paths(k)`` and ``count()`` mirror
+    ``tnsc.DisjointSearch`` outside risk-group mode."""
+
+    def __init__(self, topology: NetworkTopology, src: str, dst: str,
+                 mode: DisjointnessMode, usable_links=None):
+        self.topology = topology
+        self.src = src
+        self.dst = dst
+        self.usable = ({link.id for link in topology.links}
+                       if usable_links is None else set(usable_links))
+        self._flow = 0
+        self._split = mode is DisjointnessMode.NODE_DISJOINT
+        self._source = (src, _OUT) if self._split else src
+        self._sink = (dst, _IN) if self._split else dst
+        internal = [_Arc((node, _IN), (node, _OUT), 0.0, None)
+                    for node in sorted(topology.nodes)
+                    if node not in (src, dst)] if self._split else []
+        into = {node: (node, _IN) if self._split else node for node in topology.nodes}
+        out = {node: (node, _OUT) if self._split else node for node in topology.nodes}
+        self._arcs = internal + [
+            arc
+            for link in sorted(topology.links, key=lambda l: l.id)
+            if link.id in self.usable
+            for arc in (_Arc(out[link.a], into[link.b], 1.0, link.id),
+                        _Arc(out[link.b], into[link.a], 1.0, link.id))
+        ]
+
+    def _augment_to(self, limit: float) -> int:
+        node_count = len(self.topology.nodes) * (2 if self._split else 1)
+        while self._flow < limit:
+            steps = _residual_shortest(self._arcs, self._source, self._sink, node_count)
+            if steps is None:
+                break
+            for arc, forward in steps:
+                arc.flow = 1 if forward else 0
+            self._flow += 1
+        return self._flow
+
+    def _decompose(self, k: int) -> list[Path]:
+        outgoing: dict = {}
+        for arc in sorted((arc for arc in self._arcs if arc.flow == 1),
+                          key=lambda a: (a.v, a.link or "")):
+            outgoing.setdefault(arc.u, []).append(arc)
+
+        paths = []
+        for _ in range(k):
+            nodes = [self.src]
+            links: list[str] = []
+            key = self._source
+            while key != self._sink:
+                arc = outgoing[key].pop(0)
+                key = arc.v
+                if arc.link is not None:
+                    nodes.append(key[0] if self._split else key)
+                    links.append(arc.link)
+            paths.append(Path(nodes=tuple(nodes), links=tuple(links)))
+        return paths
+
+    def paths(self, k: int) -> list[Path]:
+        """Raises InsufficientDiversity as the library does. Successive
+        calls with a growing k extend one flow, as fresh searches would."""
+        if self._augment_to(k) < k:
+            raise InsufficientDiversity(requested=k, found=self._flow)
+        paths = self._decompose(k)
+        paths.sort(key=lambda p: (len(p.links), p.nodes))
+        return paths
+
+    def count(self) -> int:
+        return self._augment_to(math.inf)
+
+
 def falling_fraction(r: int, l: int, h: int) -> Fraction:
     if l == h:
         return Fraction(1)
@@ -150,3 +282,39 @@ def random_connected_topology(rng, max_nodes=8, srlg_pool=0):
         add_link(a, b)
 
     return tnsc.validate_topology({"nodes": names, "links": links, "devices": []})
+
+
+def random_graph_dict(rng, min_nodes=6, max_nodes=400):
+    """A connected topology as a raw dict with no devices: a grid, a ring
+    with chords or a random spanning tree with chords, sized log-uniformly
+    (grids may come out a little smaller). Node and link names carry
+    unpadded shuffled numbers, so their sorted order is unrelated to the
+    shape."""
+    target = round(math.exp(rng.uniform(math.log(min_nodes), math.log(max_nodes))))
+    family = rng.choice(("grid", "ring", "sparse"))
+    if family == "grid":
+        rows = rng.randint(2, max(2, math.isqrt(target)))
+        cols = max(3, target // rows)
+        n = rows * cols
+        pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    else:
+        n = target
+        if family == "ring":
+            pairs = [(i, (i + 1) % n) for i in range(n)]
+            extra = rng.randint(max(1, n // 8), max(1, n // 3))
+        else:
+            pairs = [(rng.randrange(i), i) for i in range(1, n)]
+            extra = rng.randint(max(1, n // 4), n)
+        seen = {frozenset(pair) for pair in pairs}
+        for _ in range(extra):
+            pair = frozenset(rng.sample(range(n), 2))
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(tuple(pair))
+    labels = rng.sample(range(n), n)
+    names = [f"n{label}" for label in labels]
+    link_labels = rng.sample(range(len(pairs)), len(pairs))
+    links = [{"id": f"e{label}", "a": names[a], "b": names[b]}
+             for label, (a, b) in zip(link_labels, pairs)]
+    return {"nodes": names, "links": links, "devices": []}

@@ -385,10 +385,11 @@ class TestRandomizedInvariants:
 
 
 class TestSolveCount:
-    """Each Bellman-Ford call on the residual network is one augmentation
-    attempt. A derived-mode admission resumes the path search's flow for its
-    diversity count instead of solving again, and static bounds never
-    extend a search past the k paths."""
+    """Each Bellman-Ford call on the residual network is one shortest
+    augmenting path. A derived-mode admission finds its k paths with k calls
+    and counts the rest of the diversity by breadth-first augmentation on
+    the same flow, with no further call; static bounds never extend a search
+    past the k paths."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -406,8 +407,25 @@ class TestSolveCount:
         controller = node_controller(theta)
         record = controller.admit(ts1)
         assert record.vector.numeric_traits["topology"].h == 3
-        # k augmentations, then 3 - k more, then one that finds no path.
-        assert len(solves) == 3 + 1
+        assert len(solves) == ts1.disjoint_paths
+
+    def test_slot_rejection_counts_up_network_without_solving(self, solves):
+        topology = make_topology(
+            "ABCD",
+            [("L_AB", "A", "B", {"slot_capacity": 3}),
+             ("L_BC", "B", "C", {"slot_capacity": 3}),
+             ("L_CD", "C", "D", {"slot_capacity": 3}),
+             ("L_DA", "D", "A", {"slot_capacity": 3})],
+            [("A", 24), ("C", 24)],
+        )
+        controller = node_controller(topology)
+        controller.admit(make_request("TS_a", d=1, s=2))
+        solves.clear()
+        blocked = controller.admit(make_request("TS_b", d=1, s=2))
+        assert blocked.rejection.reason == "SlotExhausted"
+        # The pruned search fails on its first call; the up network's
+        # diversity is counted breadth-first.
+        assert len(solves) == 1
 
     def test_static_admission_stops_at_k(self, theta, ts1, table2_bounds, solves):
         controller = Controller(theta, bounds=table2_bounds, mode=NODE)

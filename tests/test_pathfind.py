@@ -10,6 +10,7 @@ from tnsc import (
     Path,
     k_disjoint_paths,
     max_disjoint_count,
+    validate_topology,
     verify_disjoint,
 )
 from tnsc.errors import InsufficientDiversity
@@ -20,6 +21,7 @@ from .oracles import (
     max_disjoint_brute,
     min_total_hops,
     random_connected_topology,
+    random_graph_dict,
 )
 
 LINK = DisjointnessMode.LINK_DISJOINT
@@ -309,3 +311,72 @@ class TestDisjointSearch:
         assert search.count() == 3
         with pytest.raises(RuntimeError):
             search.paths(3)
+
+
+def related_graphs(seed, count):
+    """Seeded raw topologies of 6 to 120 nodes with an endpoint pair."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        raw = random_graph_dict(rng, max_nodes=120)
+        yield rng, raw, *rng.sample(raw["nodes"], 2)
+
+
+def hop_total(topology, src, dst, k, mode):
+    return sum(len(path.links) for path in k_disjoint_paths(topology, src, dst, k, mode))
+
+
+class TestMetamorphic:
+    """Relations between searches on related graphs, which need no
+    reference result."""
+
+    @pytest.mark.parametrize("mode", [LINK, NODE])
+    def test_relabelling_nodes_keeps_count_and_hops(self, mode):
+        for rng, raw, src, dst in related_graphs(7101, 60):
+            rename = dict(zip(raw["nodes"], rng.sample(raw["nodes"], len(raw["nodes"]))))
+            relabelled = validate_topology({
+                "nodes": [rename[node] for node in raw["nodes"]],
+                "links": [dict(link, a=rename[link["a"]], b=rename[link["b"]])
+                          for link in raw["links"]],
+                "devices": []})
+            topology = validate_topology(raw)
+            most = max_disjoint_count(topology, src, dst, mode)
+            assert max_disjoint_count(relabelled, rename[src], rename[dst], mode) == most
+            for k in range(1, most + 1):
+                assert (hop_total(relabelled, rename[src], rename[dst], k, mode)
+                        == hop_total(topology, src, dst, k, mode))
+
+    @pytest.mark.parametrize("mode", [LINK, NODE])
+    def test_adding_a_link_never_lowers_the_count(self, mode):
+        for rng, raw, src, dst in related_graphs(7102, 60):
+            topology = validate_topology(raw)
+            a, b = rng.choice((src, dst)), rng.choice(raw["nodes"])
+            if a == b or topology.link_between(a, b) is not None:
+                continue
+            grown = validate_topology(
+                dict(raw, links=raw["links"] + [{"id": "added", "a": a, "b": b}]))
+            assert (max_disjoint_count(grown, src, dst, mode)
+                    >= max_disjoint_count(topology, src, dst, mode))
+
+    @pytest.mark.parametrize("mode", [LINK, NODE])
+    def test_deleting_a_link_outside_the_k_set_keeps_the_hop_total(self, mode):
+        for rng, raw, src, dst in related_graphs(7103, 60):
+            topology = validate_topology(raw)
+            most = max_disjoint_count(topology, src, dst, mode)
+            if most == 0:
+                continue
+            k = rng.randint(1, most)
+            paths = k_disjoint_paths(topology, src, dst, k, mode)
+            used = {link for path in paths for link in path.links}
+            spare = [link for link in raw["links"] if link["id"] not in used]
+            if not spare:
+                continue
+            dropped = rng.choice(spare)
+            pruned = validate_topology(
+                dict(raw, links=[link for link in raw["links"] if link is not dropped]))
+            assert hop_total(pruned, src, dst, k, mode) == sum(len(p.links) for p in paths)
+
+    def test_link_count_at_least_node_count(self):
+        for _, raw, src, dst in related_graphs(7104, 100):
+            topology = validate_topology(raw)
+            assert (max_disjoint_count(topology, src, dst, LINK)
+                    >= max_disjoint_count(topology, src, dst, NODE))
