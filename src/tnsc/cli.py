@@ -7,6 +7,7 @@ diagnostics), 1 for parse or validation failures, 2 for internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ParseError, TnscError
@@ -126,8 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TnscError as err:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import NonPositiveWeight, OutOfRange, UnknownDimension
 from .model import DIMENSIONS, Bound, SliceRequest, TraitBounds, weights_from_dict
@@ -129,8 +128,13 @@ def harmonic_index(values: Sequence[float],
                    weights: Sequence[float] | None = None) -> float:
     """Weighted harmonic mean of positive values; 0 if any value is 0.
 
-    Computed in exact rational arithmetic and rounded once at the end, which
-    keeps the result inside [min, max] and independent of input order.
+    Every float is a dyadic rational, so the weight sum and the sum of w/v
+    are kept exactly as one integer numerator and one integer denominator
+    each (from ``as_integer_ratio``), and ``num / den`` rounds the exact
+    mean once: Python's int/int true division is correctly rounded. That
+    keeps the result inside [min, max] and independent of input order. A
+    NaN or infinite input raises ValueError or OverflowError from
+    ``as_integer_ratio``.
     """
     if not values:
         raise ValueError("cannot merge an empty value list")
@@ -146,9 +150,17 @@ def harmonic_index(values: Sequence[float],
             raise ValueError(f"trait values must be non-negative, got {v!r}")
     if any(v == 0 for v in values):
         return 0.0
-    total_weight = sum(Fraction(w) for w in weights)
-    denominator = sum(Fraction(w) / Fraction(v) for w, v in zip(weights, values))
-    return float(total_weight / denominator)
+    ratios = [w.as_integer_ratio() for w in weights]
+    weight_num, weight_den = 0, 1
+    for a, b in ratios:
+        weight_num, weight_den = weight_num * b + a * weight_den, weight_den * b
+    # sum(w / v) with w = a/b and v = c/d: each term is a*d / (b*c).
+    inverse_num, inverse_den = 0, 1
+    for (a, b), v in zip(ratios, values):
+        c, d = v.as_integer_ratio()
+        inverse_num = inverse_num * b * c + a * d * inverse_den
+        inverse_den *= b * c
+    return (weight_num * inverse_den) / (weight_den * inverse_num)
 
 
 def merge_index(vector: FeasibilityVector,

@@ -12,6 +12,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 from .controller import (
     Controller,
@@ -67,38 +68,58 @@ def _format_float(value: float) -> str:
 
 
 def _write_canonical(value, out: list[str]) -> None:
-    if value is None:
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is float:
+        out.append(_format_float(value))
+    elif kind is dict:
+        _write_object(value, out)
+    elif kind is list or kind is tuple:
+        _write_array(value, out)
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
+    # Subclasses (str and int enums), other mappings and every error case.
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
         out.append(_format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
+        out.append(_escape(value))
     elif isinstance(value, Mapping):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _write_canonical(value[key], out)
-        out.append("}")
+        _write_object(value, out)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write_canonical(item, out)
-        out.append("]")
+        _write_array(value, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write_object(value: Mapping, out: list[str]) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(value)):
+        if not isinstance(key, str):
+            raise TypeError(f"object keys must be strings, got {key!r}")
+        if i:
+            out.append(",")
+        out.append(_escape(key))
+        out.append(":")
+        _write_canonical(value[key], out)
+    out.append("}")
+
+
+def _write_array(value: Sequence, out: list[str]) -> None:
+    out.append("[")
+    for i, item in enumerate(value):
+        if i:
+            out.append(",")
+        _write_canonical(item, out)
+    out.append("]")
 
 
 def canonical_json(value) -> str:
@@ -478,17 +499,25 @@ _CSV_HEADER = ("slice,control,topology_r,topology_value,device_r,device_value,"
                "data_plane_r,data_plane_value,index,status")
 
 
+def _csv_field(text: str) -> str:
+    """Quote per RFC 4180 only a field holding a comma, quote, CR or LF, as
+    ``csv.QUOTE_MINIMAL`` does."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def rows_to_csv(rows: Sequence[Mapping]) -> str:
     """3-decimal CSV table (half-to-even rounding, period separator)."""
     lines = [_CSV_HEADER]
     for row in rows:
-        cells = [row["slice"], "true" if row["control"] else "false"]
+        cells = [_csv_field(row["slice"]), "true" if row["control"] else "false"]
         for dim in DIMENSIONS:
             cell = row[dim]
             cells.append(str(cell["r"]))
             cells.append(_round3(cell["value"]) if cell["value"] is not None else "")
         cells.append(_round3(row["index"]) if row["index"] is not None else "")
-        cells.append(row["status"])
+        cells.append(_csv_field(row["status"]))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -4,16 +4,22 @@ Nothing here calls into the search or merge code under test: paths come
 from exhaustive enumeration or from the dict-keyed flow engine that the
 array engine in ``tnsc.pathfind`` replaced, disjointness from raw set
 intersections, and the numeric references from exact rational arithmetic.
+The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
+writer are the versions the library's integer merge and type-dispatched
+writer replaced, moved here unchanged.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tnsc import DisjointnessMode, NetworkTopology, Path
-from tnsc.errors import InsufficientDiversity
+from tnsc.errors import InsufficientDiversity, NonPositiveWeight
+from tnsc.model import DIMENSIONS
 
 
 def enumerate_simple_paths(topology: NetworkTopology, src: str, dst: str):
@@ -247,6 +253,77 @@ def harmonic_fraction(values, weights=None) -> Fraction:
         return Fraction(0)
     total = sum(Fraction(w) for w in weights)
     return total / sum(Fraction(w) / Fraction(v) for w, v in zip(weights, values))
+
+
+def reference_harmonic_index(values: Sequence[float],
+                             weights: Sequence[float] | None = None) -> float:
+    """``tnsc.feasibility.harmonic_index`` as exact ``Fraction`` sums."""
+    if not values:
+        raise ValueError("cannot merge an empty value list")
+    if weights is None:
+        weights = [1.0] * len(values)
+    if len(weights) != len(values):
+        raise ValueError("weights and values must have equal length")
+    for i, w in enumerate(weights):
+        if w <= 0:
+            raise NonPositiveWeight(DIMENSIONS[i] if i < len(DIMENSIONS) else str(i), w)
+    for v in values:
+        if v < 0:
+            raise ValueError(f"trait values must be non-negative, got {v!r}")
+    if any(v == 0 for v in values):
+        return 0.0
+    total_weight = sum(Fraction(w) for w in weights)
+    denominator = sum(Fraction(w) / Fraction(v) for w, v in zip(weights, values))
+    return float(total_weight / denominator)
+
+
+def _format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    return format(value, ".17g")
+
+
+def _write_canonical(value, out: list[str]) -> None:
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_format_float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=True))
+    elif isinstance(value, Mapping):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"object keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _write_canonical(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _write_canonical(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_canonical_json(value) -> str:
+    """``tnsc.scenario.canonical_json`` over the ``isinstance``-chain writer."""
+    out: list[str] = []
+    _write_canonical(value, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def random_connected_topology(rng, max_nodes=8, srlg_pool=0):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from tnsc import cli
 from tnsc.cli import main
 from tnsc.errors import TnscError
 from tnsc.scenario import parse_scenario
@@ -62,6 +65,44 @@ def test_evaluate_csv(inputs, capsys):
     lines = out.strip().split("\n")
     assert lines[1] == "TS_1,true,2,1.000,15,0.391,2,0.947,0.651,ok"
     assert lines[2] == "TS_2,true,3,0.500,12,0.522,3,0.895,0.596,ok"
+
+
+def test_csv_quotes_ids_that_need_it(inputs, tmp_path, capsys):
+    """Ids holding a comma, quote, CR or LF are quoted per RFC 4180 and
+    read back whole; the others are written as they are."""
+    ids = ['a,b"c', "line\nbreak", "cr\rid", '"quoted"', "plain", "sp ace;x"]
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps([dict(REQUESTS[0], id=rid) for rid in ids]))
+    code = main(["evaluate", "--requests", str(odd), "--bounds", inputs["bounds"],
+                 "--format", "csv"])
+    assert code == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 10 for row in rows)
+    assert [row[0] for row in rows[1:]] == ids
+    assert out.split("\n")[-2].startswith("sp ace;x,true,")
+
+
+def test_parser_built_once_keeps_exit_codes(inputs, monkeypatch, capsys):
+    """main builds its parser on first use and reuses it; argparse still
+    exits 0 for --help and 2 for a usage error, and tnsc returns 0 and 1."""
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    for argv, code in ((["--help"], 0), (["evaluate", "--bogus"], 2),
+                       (["rank", "--help"], 0), (["frobnicate"], 2)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code, argv
+    assert main(["evaluate", "--requests", inputs["requests"],
+                 "--bounds", inputs["bounds"], "--format", "csv"]) == 0
+    assert main(["evaluate", "--requests", "/no/such.json",
+                 "--bounds", inputs["bounds"]]) == 1
+    assert builds == [1]
+    out = capsys.readouterr()
+    assert "usage: tnsc" in out.out and "usage: tnsc" in out.err
+    assert "TS_2,true,3,0.500,12,0.522,3,0.895,0.596,ok" in out.out
 
 
 def test_evaluate_json_full_precision(inputs, capsys):
