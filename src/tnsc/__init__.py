@@ -19,8 +19,8 @@ from .feasibility import (
     DimensionComparison,
     FeasibilityIndex,
     FeasibilityVector,
-    RankedRequest,
     TraitValue,
+    assess,
     build_vector,
     compare_dimension,
     group_by_boolean,

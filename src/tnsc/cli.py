@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ParseError, TnscError
+from .errors import ParseError, TnscError, ValidationError
 from .model import (
     bounds_from_dict,
     request_from_dict,
@@ -37,14 +37,19 @@ _MODE_FLAGS = {
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to stdout or to ``out_path``; a path that cannot be
+    written raises ValidationError, so it exits 1 like any bad argument."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as err:
+        raise ValidationError("out", str(err)) from None
 
 
-def _load_table_inputs(args):
+def _cmd_evaluate(args) -> int:
     raw_requests = load_json(args.requests)
     if not isinstance(raw_requests, list):
         raise ParseError(args.requests, "requests file must contain a list")
@@ -55,11 +60,6 @@ def _load_table_inputs(args):
         topology = validate_topology(load_json(args.topology))
     if args.weights:
         weights = weights_from_dict(load_json(args.weights), args.weights)
-    return requests, bounds, topology, weights
-
-
-def _cmd_evaluate(args) -> int:
-    requests, bounds, topology, weights = _load_table_inputs(args)
     rows = evaluate(requests, bounds, weights=weights, topology=topology,
                     mode=_MODE_FLAGS[args.mode])
     if args.rank:

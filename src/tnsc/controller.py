@@ -15,7 +15,6 @@ from .errors import (
     ControlExhausted,
     InsufficientDiversity,
     NoDevice,
-    OutOfRange,
     PortExhausted,
     SlotExhausted,
     StaleSequence,
@@ -23,7 +22,7 @@ from .errors import (
     UnknownLink,
     UnknownSlice,
 )
-from .feasibility import FeasibilityIndex, FeasibilityVector, build_vector, merge_index
+from .feasibility import Assessment, FeasibilityIndex, FeasibilityVector, assess
 from .model import (
     DERIVED_BOUNDS,
     AllocationRecord,
@@ -217,10 +216,9 @@ class Controller:
                 and len(self.ledger.control_contexts) >= self.control_context_limit):
             return self._rejected(request, ControlExhausted(self.control_context_limit))
 
-        try:
-            vector, index = self._evaluate(request, search)
-        except OutOfRange as err:
-            return self._rejected(request, err)
+        assessment = self._evaluate(request, search)
+        if assessment.errors:
+            return self._rejected(request, assessment.errors[0])
 
         # Commit point: every check passed, debit atomically.
         slots: dict[str, int] = {}
@@ -246,8 +244,8 @@ class Controller:
             slots_per_link=slots,
             ports_per_device=ports,
             control_context=context,
-            vector=vector,
-            index=index,
+            vector=assessment.vector,
+            index=assessment.index,
         )
 
     def _search(self, request: SliceRequest, usable: frozenset[str]) -> DisjointSearch:
@@ -275,7 +273,7 @@ class Controller:
         return SlotExhausted(request.calendar_slots)
 
     def _evaluate(self, request: SliceRequest, search: DisjointSearch | None = None,
-                  ) -> tuple[FeasibilityVector, FeasibilityIndex]:
+                  ) -> Assessment:
         """Derived bounds count diversity on ``search``, or on a new search
         when None; static bounds never build one."""
         if self.bounds.mode is BoundsMode.DERIVED:
@@ -285,17 +283,17 @@ class Controller:
                 search, self.ledger.residual_slots, self.ledger.residual_ports))
         else:
             bounds = self.bounds
-        vector = build_vector(request, bounds)
-        return vector, merge_index(vector, request.weights)
+        return assess(request, bounds)
 
     def appraise(self, request: SliceRequest,
                  ) -> tuple[FeasibilityVector | None, FeasibilityIndex | None]:
         """Read-only feasibility of a request against the current network;
         (None, None) when it does not normalize."""
         try:
-            return self._evaluate(request)
+            assessment = self._evaluate(request)
         except TnscError:
             return None, None
+        return assessment.vector, assessment.index
 
     # -- release ------------------------------------------------------------
 
@@ -356,15 +354,13 @@ class Controller:
 
     # -- reconfiguration ----------------------------------------------------
 
-    def reconfigure(self, affected: list[str],
-                    policy: ReconfigPolicy | None = None) -> list[ReconfigEntry]:
+    def reconfigure(self, affected: list[str]) -> list[ReconfigEntry]:
         """Reallocate slices whose allocations went stale.
 
         Stale holdings are released first, then slices are re-admitted in
         policy order using their feasibility index as of this moment.
         Per-slice failures become report entries; the batch never aborts.
         """
-        policy = policy or self.policy
         targets = [
             slice_id for slice_id in affected
             if (record := self.records.get(slice_id)) is not None
@@ -387,7 +383,7 @@ class Controller:
             if index is None:
                 # Unnormalizable requests rank as least feasible.
                 return (1, 0.0, slice_id)
-            signed = -index.value if policy.order is ReconfigOrder.DESCENDING_INDEX \
+            signed = -index.value if self.policy.order is ReconfigOrder.DESCENDING_INDEX \
                 else index.value
             return (0, signed, slice_id)
 
@@ -396,7 +392,7 @@ class Controller:
             record = self._try_allocate(self.requests[slice_id])
             if record.state is AllocationState.ACTIVE:
                 outcome = "readmitted"
-            elif policy.on_failure is FailurePolicy.MARK_DEGRADED:
+            elif self.policy.on_failure is FailurePolicy.MARK_DEGRADED:
                 record = replace(record, state=AllocationState.DEGRADED)
                 outcome = "degraded"
             else:

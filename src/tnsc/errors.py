@@ -5,19 +5,58 @@ controller records and scenario reports, so renaming one is a breaking
 change for golden-file consumers.
 """
 
-from __future__ import annotations
+from inspect import Parameter, Signature
 
 
 class TnscError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    A subclass declares its data, not code. ``fields`` names the constructor
+    parameters in order, ``defaults`` gives the trailing optional ones, and
+    the values become ``args`` and attributes. ``str(err)`` formats
+    ``template`` with the fields by name, and with the error itself as
+    ``{0}``, when it is asked for, not when the error is built. ``detail()``
+    maps each field to its value, renamed by ``renames``, leaving out the
+    ``hidden`` fields and any field that defaults to None while it is None.
+    """
+
+    fields: tuple[str, ...] = ()
+    defaults: tuple = ()
+    template = ""
+    renames = {"slice_id": "slice", "link_id": "link"}
+    hidden: tuple[str, ...] = ()
+    __signature__ = Signature()
+
+    def __init_subclass__(cls):
+        required = (Parameter.empty,) * (len(cls.fields) - len(cls.defaults))
+        cls.__signature__ = Signature([
+            Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=default)
+            for name, default in zip(cls.fields, required + cls.defaults)])
+
+    def __init__(self, *args, **kwargs):
+        # Signature.bind takes microseconds; positional calls skip it.
+        missing = len(self.fields) - len(args)
+        if kwargs or not 0 <= missing <= len(self.defaults):
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            self.args = args = tuple(bound.arguments.values())
+        elif missing:
+            self.args = args = args + self.defaults[-missing:]
+        self.__dict__.update(zip(self.fields, args))
+
+    def __str__(self) -> str:
+        return self.template.format(self, **self.__dict__)
 
     @property
     def reason(self) -> str:
         return type(self).__name__
 
     def detail(self) -> dict:
-        """Structured payload for report entries. Subclasses override."""
-        return {}
+        """Structured payload for report entries."""
+        parameters = self.__signature__.parameters
+        return {self.renames.get(name, name): value
+                for name, value in zip(self.fields, self.args) if name not in self.hidden
+                and not (value is None and parameters[name].default is None)}
 
 
 # ---------------------------------------------------------------------------
@@ -28,72 +67,45 @@ class TnscError(Exception):
 class ValidationError(TnscError, ValueError):
     """Malformed input or argument; also a ValueError for library callers."""
 
-    def __init__(self, element: str, message: str):
-        super().__init__(f"{element}: {message}")
-        self.element = element
-        self.message = message
-
-    def detail(self) -> dict:
-        return {"element": self.element, "message": self.message}
+    fields = ("element", "message")
+    template = "{0.element}: {0.message}"
 
 
 class DanglingEndpoint(TnscError):
     """A link or device references a node absent from the node set."""
 
-    def __init__(self, element: str):
-        super().__init__(f"unknown node referenced: {element!r}")
-        self.element = element
-
-    def detail(self) -> dict:
-        return {"element": self.element}
+    fields = ("element",)
+    template = "unknown node referenced: {element!r}"
 
 
 class DuplicateId(TnscError):
     """Two topology elements collide on an identifier or endpoint pair."""
 
-    def __init__(self, element: str):
-        super().__init__(f"duplicate identifier: {element!r}")
-        self.element = element
-
-    def detail(self) -> dict:
-        return {"element": self.element}
+    fields = ("element",)
+    template = "duplicate identifier: {element!r}"
 
 
 class InvalidCapacity(TnscError):
     """A link or port group declares a non-positive capacity."""
 
-    def __init__(self, element: str, message: str = "invalid capacity"):
-        super().__init__(f"{message}: {element!r}")
-        self.element = element
-
-    def detail(self) -> dict:
-        return {"element": self.element}
+    fields = ("element", "message")
+    defaults = ("invalid capacity",)
+    template = "{message}: {element!r}"
+    hidden = ("message",)
 
 
 class NoDevice(TnscError):
     """A slice endpoint has no device profile to allocate ports from."""
 
-    def __init__(self, node: str):
-        super().__init__(f"no device profile at node {node!r}")
-        self.node = node
-
-    def detail(self) -> dict:
-        return {"node": self.node}
+    fields = ("node",)
+    template = "no device profile at node {node!r}"
 
 
 class NoMatchingPorts(TnscError):
     """The endpoint device has no port group of the requested kind."""
 
-    def __init__(self, node: str, port_type: str, gbps: float):
-        super().__init__(
-            f"device at {node!r} has no {port_type!r} port group at {gbps:g} Gbps"
-        )
-        self.node = node
-        self.port_type = port_type
-        self.gbps = gbps
-
-    def detail(self) -> dict:
-        return {"node": self.node, "port_type": self.port_type, "gbps": self.gbps}
+    fields = ("node", "port_type", "gbps")
+    template = "device at {node!r} has no {port_type!r} port group at {gbps:g} Gbps"
 
 
 # ---------------------------------------------------------------------------
@@ -104,48 +116,30 @@ class NoMatchingPorts(TnscError):
 class OutOfRange(TnscError):
     """A requested trait value falls outside its admissible [l, h] range."""
 
-    def __init__(self, r: int, l: int, h: int, dimension: str | None = None,
-                 slice_id: str | None = None):
-        where = f" on dimension {dimension!r}" if dimension else ""
-        whom = f" for slice {slice_id!r}" if slice_id else ""
-        super().__init__(f"value {r} outside [{l}, {h}]{where}{whom}")
-        self.r = r
-        self.l = l
-        self.h = h
-        self.dimension = dimension
-        self.slice_id = slice_id
+    fields = ("r", "l", "h", "dimension", "slice_id")
+    defaults = (None, None)
 
-    def detail(self) -> dict:
-        out: dict = {"r": self.r, "l": self.l, "h": self.h}
-        if self.dimension is not None:
-            out["dimension"] = self.dimension
-        if self.slice_id is not None:
-            out["slice"] = self.slice_id
-        return out
+    def __str__(self) -> str:
+        where = f" on dimension {self.dimension!r}" if self.dimension else ""
+        whom = f" for slice {self.slice_id!r}" if self.slice_id else ""
+        return f"value {self.r} outside [{self.l}, {self.h}]{where}{whom}"
 
 
 class NonPositiveWeight(ValidationError):
     """A merge weight is not a finite number greater than 0."""
 
-    def __init__(self, dimension: str, weight: float):
-        super().__init__(dimension,
-                         f"weight must be a finite number > 0, got {weight!r}")
-        self.dimension = dimension
-        self.weight = weight
-
-    def detail(self) -> dict:
-        return {"dimension": self.dimension, "weight": self.weight}
+    fields = ("dimension", "weight")
+    element = property(lambda self: self.dimension)
+    message = property(
+        lambda self: f"weight must be a finite number > 0, got {self.weight!r}")
 
 
 class UnknownDimension(ValidationError):
     """A weight or vector names a dimension outside the fixed three."""
 
-    def __init__(self, dimension: str):
-        super().__init__(dimension, "unknown vector dimension")
-        self.dimension = dimension
-
-    def detail(self) -> dict:
-        return {"dimension": self.dimension}
+    fields = ("dimension",)
+    element = property(lambda self: self.dimension)
+    message = "unknown vector dimension"
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +155,12 @@ class InsufficientDiversity(TnscError):
     "does not exist".
     """
 
-    def __init__(self, requested: int, found: int, budget_exhausted: bool = False):
-        note = " (search budget exhausted)" if budget_exhausted else ""
-        super().__init__(f"found {found} disjoint paths, need {requested}{note}")
-        self.requested = requested
-        self.found = found
-        self.budget_exhausted = budget_exhausted
+    fields = ("requested", "found", "budget_exhausted")
+    defaults = (False,)
 
-    def detail(self) -> dict:
-        return {
-            "requested": self.requested,
-            "found": self.found,
-            "budget_exhausted": self.budget_exhausted,
-        }
+    def __str__(self) -> str:
+        note = " (search budget exhausted)" if self.budget_exhausted else ""
+        return f"found {self.found} disjoint paths, need {self.requested}{note}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,76 +171,42 @@ class InsufficientDiversity(TnscError):
 class PortExhausted(TnscError):
     """Residual client ports at an endpoint device cannot cover the request."""
 
-    def __init__(self, node: str, needed: int, available: int):
-        super().__init__(
-            f"device at {node!r} has {available} matching ports, need {needed}"
-        )
-        self.node = node
-        self.needed = needed
-        self.available = available
-
-    def detail(self) -> dict:
-        return {"node": self.node, "needed": self.needed,
-                "available": self.available}
+    fields = ("node", "needed", "available")
+    template = "device at {node!r} has {available} matching ports, need {needed}"
 
 
 class SlotExhausted(TnscError):
     """Calendar-slot residuals block every sufficiently diverse path set."""
 
-    def __init__(self, needed: int):
-        super().__init__(f"no diverse path set has {needed} residual slots per link")
-        self.needed = needed
-
-    def detail(self) -> dict:
-        return {"needed": self.needed}
+    fields = ("needed",)
+    template = "no diverse path set has {needed} residual slots per link"
 
 
 class ControlExhausted(TnscError):
     """The configured cap on dedicated control contexts is already reached."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"control context limit {limit} reached")
-        self.limit = limit
-
-    def detail(self) -> dict:
-        return {"limit": self.limit}
+    fields = ("limit",)
+    template = "control context limit {limit} reached"
 
 
 class UnknownSlice(TnscError):
-    def __init__(self, slice_id: str):
-        super().__init__(f"unknown slice {slice_id!r}")
-        self.slice_id = slice_id
-
-    def detail(self) -> dict:
-        return {"slice": self.slice_id}
+    fields = ("slice_id",)
+    template = "unknown slice {slice_id!r}"
 
 
 class AlreadyReleased(TnscError):
-    def __init__(self, slice_id: str):
-        super().__init__(f"slice {slice_id!r} holds no allocation to release")
-        self.slice_id = slice_id
-
-    def detail(self) -> dict:
-        return {"slice": self.slice_id}
+    fields = ("slice_id",)
+    template = "slice {slice_id!r} holds no allocation to release"
 
 
 class UnknownLink(TnscError):
-    def __init__(self, link_id: str):
-        super().__init__(f"unknown link {link_id!r}")
-        self.link_id = link_id
-
-    def detail(self) -> dict:
-        return {"link": self.link_id}
+    fields = ("link_id",)
+    template = "unknown link {link_id!r}"
 
 
 class StaleSequence(TnscError):
-    def __init__(self, seq: int, last_seq: int):
-        super().__init__(f"event seq {seq} not greater than last processed {last_seq}")
-        self.seq = seq
-        self.last_seq = last_seq
-
-    def detail(self) -> dict:
-        return {"seq": self.seq, "last_seq": self.last_seq}
+    fields = ("seq", "last_seq")
+    template = "event seq {seq} not greater than last processed {last_seq}"
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +215,5 @@ class StaleSequence(TnscError):
 
 
 class ParseError(TnscError):
-    def __init__(self, source: str, message: str):
-        super().__init__(f"{source}: {message}")
-        self.source = source
-        self.message = message
-
-    def detail(self) -> dict:
-        return {"source": self.source, "message": self.message}
+    fields = ("source", "message")
+    template = "{source}: {message}"

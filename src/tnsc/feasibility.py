@@ -11,7 +11,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NonPositiveWeight, OutOfRange, UnknownDimension
+from .errors import NonPositiveWeight, OutOfRange, UnknownDimension, ValidationError
 from .model import DIMENSIONS, Bound, SliceRequest, TraitBounds, weights_from_dict
 
 
@@ -99,29 +99,51 @@ class DimensionComparison(str, Enum):
 def normalize_trait(dimension: str, raw: int, bound: Bound) -> TraitValue:
     """Normalize one numeric trait against its range; OutOfRange propagates."""
     if bound.h is None:
-        raise ValueError(f"bounds for {dimension!r} are unresolved (derived mode "
-                         "requires derive_bounds against a topology)")
+        raise ValidationError("bounds", f"bounds for {dimension!r} are unresolved "
+                              "(derived mode requires derive_bounds against a topology)")
     value = normalize_falling(raw, bound.l, bound.h)
     return TraitValue(raw=raw, l=bound.l, h=bound.h, value=value)
 
 
-def build_vector(request: SliceRequest, bounds: TraitBounds) -> FeasibilityVector:
-    """Normalize the request's numeric traits against ``bounds``.
+@dataclass(slots=True)
+class Assessment:
+    """One request scored against its bounds: each dimension that normalized,
+    an OutOfRange tagged with dimension and slice id for each that did not
+    (both in DIMENSIONS order), and the vector and index once all did. Not
+    frozen: one is built per scored row, and freezing costs a microsecond."""
 
-    OutOfRange propagates tagged with the offending dimension and slice id.
-    """
-    numeric: dict[str, TraitValue] = {}
+    slice_id: str
+    traits: Mapping[str, TraitValue]
+    errors: tuple[OutOfRange, ...]
+    vector: FeasibilityVector | None = None
+    index: FeasibilityIndex | None = None
+
+
+def assess(request: SliceRequest, bounds: TraitBounds,
+           weights: Mapping[str, float] | None = None) -> Assessment:
+    """Score ``request`` against ``bounds``. A request carrying its own
+    weights merges with them in place of ``weights``, as a whole map."""
+    traits: dict[str, TraitValue] = {}
+    errors = []
     for dim in DIMENSIONS:
         try:
-            numeric[dim] = normalize_trait(dim, request.trait(dim), bounds.bound(dim))
+            traits[dim] = normalize_trait(dim, request.trait(dim), bounds.bound(dim))
         except OutOfRange as err:
-            raise OutOfRange(err.r, err.l, err.h, dimension=dim,
-                             slice_id=request.id) from None
-    return FeasibilityVector(
-        slice_id=request.id,
-        boolean_traits={"control": request.control},
-        numeric_traits=numeric,
-    )
+            errors.append(OutOfRange(err.r, err.l, err.h, dim, request.id))
+    if errors:
+        return Assessment(request.id, traits, tuple(errors))
+    vector = FeasibilityVector(request.id, {"control": request.control}, traits)
+    return Assessment(request.id, traits, (), vector, merge_index(
+        vector, weights if request.weights is None else request.weights))
+
+
+def build_vector(request: SliceRequest, bounds: TraitBounds) -> FeasibilityVector:
+    """Normalize the request's numeric traits against ``bounds``; the first
+    failing dimension's OutOfRange propagates, tagged with it and the slice id."""
+    assessment = assess(request, bounds)
+    if assessment.errors:
+        raise assessment.errors[0]
+    return assessment.vector
 
 
 def harmonic_index(values: Sequence[float],
@@ -191,25 +213,17 @@ def group_by_boolean(
     return groups
 
 
-@dataclass(frozen=True)
-class RankedRequest:
-    slice_id: str
-    vector: FeasibilityVector
-    index: FeasibilityIndex
-
-
 def rank(requests: Sequence[SliceRequest], bounds: TraitBounds,
-         weights: Mapping[str, float] | None = None) -> list[RankedRequest]:
+         weights: Mapping[str, float] | None = None) -> list[Assessment]:
     """Order requests by descending feasibility index.
 
     Ties break on ascending slice id so replay stays deterministic. A
     request carrying its own weights overrides the call-level ones.
     """
-    ranked = []
-    for request in requests:
-        vector = build_vector(request, bounds)
-        index = merge_index(vector, weights if request.weights is None else request.weights)
-        ranked.append(RankedRequest(request.id, vector, index))
+    ranked = [assess(request, bounds, weights) for request in requests]
+    for assessment in ranked:
+        if assessment.errors:
+            raise assessment.errors[0]
     ranked.sort(key=lambda r: (-r.index.value, r.slice_id))
     return ranked
 

@@ -24,13 +24,8 @@ from .controller import (
     ReconfigOrder,
     ResourceLedger,
 )
-from .errors import OutOfRange, ParseError, TnscError, ValidationError
-from .feasibility import (
-    FeasibilityIndex,
-    FeasibilityVector,
-    merge_index,
-    normalize_trait,
-)
+from .errors import ParseError, TnscError, ValidationError
+from .feasibility import FeasibilityIndex, FeasibilityVector, assess
 from .model import (
     DIMENSIONS,
     AllocationRecord,
@@ -461,26 +456,18 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             rows.append(row)
             continue
 
-        # Every dimension is tried, so the row shows each value that
-        # normalizes; the last failing dimension's error stands.
-        traits = {}
-        for dim in DIMENSIONS:
-            bound, cell = resolved.bound(dim), row[dim]
-            cell["l"], cell["h"] = bound.l, bound.h
-            try:
-                traits[dim] = normalize_trait(dim, cell["r"], bound)
-            except OutOfRange as err:
-                row["status"] = "OUT_OF_RANGE"
-                row["error"] = {**err.detail(), "dimension": dim}
-                continue
-            cell["value"] = traits[dim].value
-        if len(traits) == len(DIMENSIONS):
-            vector = FeasibilityVector(slice_id=request.id,
-                                       boolean_traits={"control": request.control},
-                                       numeric_traits=traits)
-            index = merge_index(vector, weights if request.weights is None else request.weights)
-            row["index"] = index.value
-            row["index_display"] = _round3(index.value)
+        # The row shows each value that normalizes; the last failing
+        # dimension's error stands, without the slice id the row names.
+        assessment = assess(request, resolved, weights)
+        for dim, trait in assessment.traits.items():
+            cell = row[dim]
+            cell["l"], cell["h"], cell["value"] = trait.l, trait.h, trait.value
+        for err in assessment.errors:
+            cell = row[err.dimension]
+            cell["l"], cell["h"] = err.l, err.h
+            row["status"] = "OUT_OF_RANGE"
+            row["error"] = dict(r=err.r, l=err.l, h=err.h, dimension=err.dimension)
+        row.update(_index_fields(assessment.index))
         rows.append(row)
     return rows
 

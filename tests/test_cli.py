@@ -168,6 +168,17 @@ def test_simulate_writes_report(tmp_path, capsys):
     assert out.read_text() == (DATA / "five_node_failure.report.json").read_text()
 
 
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_unwritable_out_exits_one(command, inputs, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.json"
+    args = (["--scenario", str(DATA / "five_node_failure.json")] if command == "simulate"
+            else ["--requests", inputs["requests"], "--bounds", inputs["bounds"]])
+    code = main([command, *args, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("tnsc: ValidationError: out: ")
+    assert not out.exists()
+
+
 def test_parse_failure_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tnsc import (
+    DERIVED_BOUNDS,
     DimensionComparison,
+    assess,
     build_vector,
     compare_dimension,
     group_by_boolean,
@@ -16,7 +18,7 @@ from tnsc import (
     normalize_rising,
     rank,
 )
-from tnsc.errors import NonPositiveWeight, OutOfRange, UnknownDimension
+from tnsc.errors import NonPositiveWeight, OutOfRange, UnknownDimension, ValidationError
 
 from .conftest import make_request
 from .oracles import falling_fraction, harmonic_fraction
@@ -201,6 +203,40 @@ class TestRank:
         ranked = rank([make_request(weights={})], table2_bounds,
                       weights={"device": 5, "topology": 1.5})
         assert ranked[0].index.value == TS1_INDEX
+
+    def test_unresolved_derived_bounds_raise_validation_error(self, ts1):
+        with pytest.raises(ValidationError) as err:
+            rank([ts1], DERIVED_BOUNDS)
+        assert isinstance(err.value, ValueError)
+        assert err.value.element == "bounds"
+        assert "'topology'" in err.value.message
+
+
+class TestAssess:
+    def test_every_failing_dimension_is_kept(self, table2_bounds):
+        # p=9 is above [2, 4] and s=25 above [1, 20]; the device count fits.
+        result = assess(make_request("TS_BAD", p=9, s=25), table2_bounds)
+        assert [(e.dimension, e.slice_id, e.r) for e in result.errors] == [
+            ("topology", "TS_BAD", 9), ("data_plane", "TS_BAD", 25)]
+        assert list(result.traits) == ["device"]
+        assert result.traits["device"].value == normalize_falling(15, 1, 24)
+        assert result.vector is None and result.index is None
+        with pytest.raises(OutOfRange) as err:
+            build_vector(make_request("TS_BAD", p=9, s=25), table2_bounds)
+        assert err.value.detail() == result.errors[0].detail()
+
+    def test_scores_like_build_vector_and_merge_index(self, ts1, table2_bounds):
+        result = assess(ts1, table2_bounds, weights={"device": 2})
+        assert result.errors == ()
+        assert result.vector == build_vector(ts1, table2_bounds)
+        assert result.index == merge_index(result.vector, {"device": 2})
+        assert result.traits == result.vector.numeric_traits
+
+    def test_request_weights_replace_call_weights(self, table2_bounds):
+        request = make_request(weights={"topology": 3})
+        result = assess(request, table2_bounds, weights={"device": 5})
+        assert result.index.weights_used == {"topology": 3.0, "device": 1.0,
+                                             "data_plane": 1.0}
 
 
 class TestCompareDimension:

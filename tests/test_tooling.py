@@ -1,6 +1,6 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
-module and name, so renaming or moving one must fail here, not first in a
-traced benchmark run. The package's modules must also import each other
+module and name and counts rejections by reason name, so renaming or moving
+either must fail here, not first in a traced benchmark run. The package's modules must also import each other
 without a cycle at run time, and the README's library example must run."""
 
 from __future__ import annotations
@@ -17,10 +17,15 @@ PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
 
 
-def test_traced_entry_points_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_entry_points_resolve():
+    spans = _load_spans()
     assert spans.ENTRY_POINTS
     for module_name, attr, _counter in spans.ENTRY_POINTS:
         target = importlib.import_module(f"tnsc.{module_name}")
@@ -28,6 +33,17 @@ def test_traced_entry_points_resolve():
             assert hasattr(target, part), f"tnsc.{module_name}.{attr} is gone"
             target = getattr(target, part)
         assert callable(target), f"tnsc.{module_name}.{attr}"
+
+
+def test_reject_reasons_are_error_classes():
+    """Each rejection counter the tracer names must be a reason the
+    controller can record, that is, a TnscError subclass."""
+    spans = _load_spans()
+    errors = importlib.import_module("tnsc.errors")
+    assert spans.REJECT_REASONS
+    for name in spans.REJECT_REASONS:
+        cls = getattr(errors, name, None)
+        assert isinstance(cls, type) and issubclass(cls, errors.TnscError), name
 
 
 def _runtime_imports(node: ast.AST) -> set[str]:
