@@ -1,13 +1,15 @@
 """Disjoint-path computation between slice endpoints.
 
 Every link costs 1, so a path's cost is its hop count. Link- and
-node-disjoint k-sets come from min-cost augmentation: k successive
-Bellman-Ford shortest augmenting paths over a unit-capacity residual network
-(negative-cost reverse arcs), compiled once per search to integer-indexed
-arcs. That is optimal and immune to the trap topologies that defeat greedy
-removal. The maximum diversity comes from breadth-first max-flow
-augmentation resumed from the same flow on the same arcs. Risk-group
-disjointness is NP-hard in general, so that mode runs a
+node-disjoint k-sets come from min-cost augmentation: k successive shortest
+augmenting paths over a unit-capacity residual network (negative-cost
+reverse arcs), compiled once per search to integer-indexed arcs. Each path
+is a Dijkstra search over costs reduced by node potentials (Johnson's
+reweighting), breaking ties among equal-cost paths exactly as Bellman-Ford
+passes in arc order would. That is optimal and immune to the trap
+topologies that defeat greedy removal. The maximum diversity comes from
+breadth-first max-flow augmentation resumed from the same flow on the same
+arcs. Risk-group disjointness is NP-hard in general, so that mode runs a
 budget-bounded backtracking search and reports budget exhaustion explicitly.
 """
 
@@ -17,7 +19,6 @@ import heapq
 import math
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
-from functools import cached_property
 
 from .errors import InsufficientDiversity, ValidationError
 from .model import NetworkTopology, Path
@@ -49,29 +50,56 @@ def _resolve_usable(topology: NetworkTopology,
     return set(usable_links)
 
 
-def _residual_shortest(residual: list[tuple[int, int, int, int]], source: int,
-                       sink: int, node_count: int) -> list[int] | None:
-    """Bellman-Ford with Gauss-Seidel passes over the residual arcs
-    (tail, head, cost, index) in list order. Returns each node's
-    predecessor arc index, or None when the sink is unreachable. The arc
-    order and the strict comparison fix which of several equal-cost paths
-    is found, and with it every k-set."""
-    dist = [math.inf] * node_count
-    dist[source] = 0
-    pred = [0] * node_count
-    for _ in range(node_count + 1):
-        changed = False
-        for tail, head, cost, index in residual:
-            candidate = dist[tail] + cost
-            if candidate < dist[head]:
-                dist[head] = candidate
-                pred[head] = index
-                changed = True
-        if not changed:
+def _residual_shortest(residual: list[tuple[int, int, int, int]],
+                       outgoing: list[list[int]], potential: list[int],
+                       source: int, sink: int) -> list[int] | None:
+    """Dijkstra over the residual arcs (tail, head, cost, index), listed by
+    tail in ``outgoing``, with reduced costs ``cost + potential[tail] -
+    potential[head]``. Returns each node's predecessor arc index, or None
+    when the sink is unreachable, and moves the potentials on by the
+    distances found, capped at the sink's.
+
+    Equal-cost paths tie-break as Gauss-Seidel Bellman-Ford passes over the
+    arcs in list order would, with a strict comparison: a node's label is
+    the scan (pass, arc position) at which those passes would first give it
+    its final distance, and nodes pop by (distance, label). A node first
+    reaches its final distance over a tight arc from a final tail, at the
+    first scan of that arc after the tail's own, so the label is the
+    smallest such scan and its arc is the predecessor: the k-sets are
+    those Bellman-Ford finds."""
+    count = len(residual)
+    if not count:
+        return None
+    dist = [math.inf] * len(potential)
+    scan = list(dist)
+    pred = [0] * len(potential)
+    dist[source], scan[source] = 0, -1
+    heap = [(0, -1, source)]
+    while heap:
+        d, t, node = heapq.heappop(heap)
+        if node == sink:
             break
+        if t != scan[node]:  # stale: an arc relaxes once, so labels are unique
+            continue
+        passes, last = divmod(t, count)
+        offset = d + potential[node]
+        for e in outgoing[node]:
+            _, head, cost, _ = residual[e]
+            candidate = cost + offset - potential[head]
+            if candidate < d:  # a negative reduced cost
+                raise RuntimeError("negative reduced cost in residual graph")
+            known = dist[head]
+            if candidate > known:
+                continue
+            when = (passes if e > last else passes + 1) * count + e
+            if candidate < known or when < scan[head]:
+                dist[head], scan[head], pred[head] = candidate, when, e
+                heapq.heappush(heap, (candidate, when, head))
     else:
-        raise RuntimeError("negative cycle in residual graph")
-    return None if dist[sink] == math.inf else pred
+        return None
+    potential[:] = [p + (reached if reached < d else d)
+                    for p, reached in zip(potential, dist)]
+    return pred
 
 
 class DisjointSearch:
@@ -79,8 +107,10 @@ class DisjointSearch:
     the k-set and ``count()`` the maximum diversity.
 
     Link and node modes compile one residual network to integer-indexed
-    arcs. ``paths(k)`` augments along k Bellman-Ford shortest paths, a
-    min-cost flow whose decomposition is the k-set; ``count()`` resumes
+    arcs. ``paths(k)`` augments along k shortest paths, a min-cost flow
+    whose decomposition is the k-set; the node potentials that keep every
+    residual arc's reduced cost non-negative carry over from one ``paths()``
+    call to the next, so a larger k resumes the same flow. ``count()`` resumes
     from that flow with breadth-first augmenting paths until none is left,
     since a maximum flow's value does not depend on the augmenting order.
     The flow is no longer min-cost after ``count()``, so ``paths()`` refuses
@@ -112,23 +142,30 @@ class DisjointSearch:
         # get none. Internal arcs come first, then each usable link's a->b
         # and b->a arcs in link id order. Arc e is (tail, head, cost, e); it
         # carries flow while its residual entry is the reverse
-        # (head, tail, -cost, e).
+        # (head, tail, -cost, e). Each node lists the residual arcs that
+        # leave it, in no particular order; augmenting moves a flipped arc.
         self._names = sorted(self.topology.nodes)
         self._width = width = 2 if split else 1
         egress = width - 1
         index = {node: i for i, node in enumerate(self._names)}
         src, dst = index[self.src], index[self.dst]
-        ends = [(2 * i, 2 * i + 1, 0) for i in range(len(self._names))
-                if split and i not in (src, dst)]
-        self._links: list[str | None] = [None] * len(ends)
+        inner = [2 * i for i in range(len(self._names)) if split and i not in (src, dst)]
+        arcs = [(tail, tail + 1, 0, e) for e, tail in enumerate(inner)]
+        outgoing: list[list[int]] = [[] for _ in range(width * len(self._names))]
+        for e, tail in enumerate(inner):
+            outgoing[tail].append(e)
+        self._links: list[str | None] = [None] * len(arcs)
         for link in sorted(self.topology.links, key=lambda l: l.id):
             if link.id in self.usable:
                 a, b = width * index[link.a], width * index[link.b]
-                ends += [(a + egress, b, 1), (b + egress, a, 1)]
+                e = len(arcs)
+                arcs += [(a + egress, b, 1, e), (b + egress, a, 1, e + 1)]
+                outgoing[a + egress].append(e)
+                outgoing[b + egress].append(e + 1)
                 self._links += [link.id, link.id]
-        self._arcs = [(tail, head, cost, e) for e, (tail, head, cost) in enumerate(ends)]
-        self._residual = list(self._arcs)
-        self._node_count = width * len(self._names)
+        self._arcs, self._outgoing = arcs, outgoing
+        self._residual = list(arcs)
+        self._potential = [0] * len(outgoing)
         self._source, self._sink = width * src + egress, width * dst
 
     def _augment_to(self, k: float, find_path: Callable[[], list | None]) -> int:
@@ -143,33 +180,26 @@ class DisjointSearch:
             while node != self._source:
                 tail, head, cost, e = residual[pred[node]]
                 residual[e] = (head, tail, -cost, e)
+                self._outgoing[tail].remove(e)
+                self._outgoing[head].append(e)
                 node = tail
             self._flow += 1
         return self._flow
 
     def _shortest(self) -> list[int] | None:
         """Predecessor arcs of a min-cost augmenting path, or None."""
-        return _residual_shortest(self._residual, self._source, self._sink,
-                                  self._node_count)
-
-    @cached_property
-    def _incident(self) -> list[list[int]]:
-        """Per node, the arcs that start or end there, in either direction."""
-        incident: list[list[int]] = [[] for _ in range(self._node_count)]
-        for tail, head, _, e in self._arcs:
-            incident[tail].append(e)
-            incident[head].append(e)
-        return incident
+        return _residual_shortest(self._residual, self._outgoing, self._potential,
+                                  self._source, self._sink)
 
     def _breadth_first(self) -> list[int | None] | None:
         """Predecessor arcs of a fewest-arc augmenting path, or None."""
-        pred: list[int | None] = [None] * self._node_count
+        pred: list[int | None] = [None] * len(self._outgoing)
         pred[self._source] = -1
         queue = [self._source]
         for node in queue:
-            for e in self._incident[node]:
-                tail, head, _, _ = self._residual[e]
-                if tail == node and pred[head] is None:
+            for e in self._outgoing[node]:
+                head = self._residual[e][1]
+                if pred[head] is None:
                     pred[head] = e
                     if head == self._sink:
                         return pred

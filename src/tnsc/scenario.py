@@ -435,8 +435,7 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                      "status": "ok", "error": None,
                      "index": None, "index_display": None}
         for dim in DIMENSIONS:
-            row[dim] = {"r": request.trait(dim), "l": None, "h": None,
-                        "value": None}
+            row[dim] = {"r": None, "l": None, "h": None, "value": None}
         try:
             if bounds.mode is BoundsMode.DERIVED:
                 if topology is None:
@@ -451,6 +450,8 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             else:
                 resolved = bounds
         except TnscError as err:
+            for dim in DIMENSIONS:
+                row[dim]["r"] = request.trait(dim)
             row["status"] = err.reason
             row["error"] = err.detail()
             rows.append(row)
@@ -461,10 +462,11 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
         assessment = assess(request, resolved, weights)
         for dim, trait in assessment.traits.items():
             cell = row[dim]
-            cell["l"], cell["h"], cell["value"] = trait.l, trait.h, trait.value
+            cell["r"], cell["l"], cell["h"], cell["value"] = (
+                trait.raw, trait.l, trait.h, trait.value)
         for err in assessment.errors:
             cell = row[err.dimension]
-            cell["l"], cell["h"] = err.l, err.h
+            cell["r"], cell["l"], cell["h"] = err.r, err.l, err.h
             row["status"] = "OUT_OF_RANGE"
             row["error"] = dict(r=err.r, l=err.l, h=err.h, dimension=err.dimension)
         row.update(_index_fields(assessment.index))

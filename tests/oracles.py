@@ -4,6 +4,9 @@ Nothing here calls into the search or merge code under test: paths come
 from exhaustive enumeration or from the dict-keyed flow engine that the
 array engine in ``tnsc.pathfind`` replaced, disjointness from raw set
 intersections, and the numeric references from exact rational arithmetic.
+``reference_residual_shortest`` is the array Bellman-Ford that the
+potentials-based Dijkstra in ``tnsc.pathfind`` replaced, moved here
+unchanged.
 The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
 writer are the versions the library's integer merge and type-dispatched
 writer replaced, moved here unchanged.
@@ -13,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tnsc import DisjointnessMode, NetworkTopology, Path
+from tnsc import DisjointnessMode, NetworkTopology, Path, validate_topology
 from tnsc.errors import InsufficientDiversity, NonPositiveWeight
 from tnsc.model import DIMENSIONS
 
@@ -240,6 +244,31 @@ class ReferenceSearch:
         return self._augment_to(math.inf)
 
 
+def reference_residual_shortest(residual: list[tuple[int, int, int, int]], source: int,
+                                sink: int, node_count: int) -> list[int] | None:
+    """Bellman-Ford with Gauss-Seidel passes over the residual arcs
+    (tail, head, cost, index) in list order. Returns each node's
+    predecessor arc index, or None when the sink is unreachable. The arc
+    order and the strict comparison fix which of several equal-cost paths
+    is found, and with it every k-set."""
+    dist = [math.inf] * node_count
+    dist[source] = 0
+    pred = [0] * node_count
+    for _ in range(node_count + 1):
+        changed = False
+        for tail, head, cost, index in residual:
+            candidate = dist[tail] + cost
+            if candidate < dist[head]:
+                dist[head] = candidate
+                pred[head] = index
+                changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("negative cycle in residual graph")
+    return None if dist[sink] == math.inf else pred
+
+
 def falling_fraction(r: int, l: int, h: int) -> Fraction:
     if l == h:
         return Fraction(1)
@@ -395,3 +424,17 @@ def random_graph_dict(rng, min_nodes=6, max_nodes=400):
     links = [{"id": f"e{label}", "a": names[a], "b": names[b]}
              for label, (a, b) in zip(link_labels, pairs)]
     return {"nodes": names, "links": links, "devices": []}
+
+
+def seeded_searches(seed: int, graphs: int):
+    """Yield (number, topology, src, dst, mode, usable) for the link- and
+    node-disjoint searches of a seeded stream of ``random_graph_dict``
+    graphs, each over all links (usable None) and over a random subset."""
+    rng = random.Random(seed)
+    for number in range(graphs):
+        topology = validate_topology(random_graph_dict(rng))
+        src, dst = rng.sample(sorted(topology.nodes), 2)
+        subset = {link.id for link in topology.links if rng.random() < 0.85}
+        for mode in (DisjointnessMode.LINK_DISJOINT, DisjointnessMode.NODE_DISJOINT):
+            for usable in (None, subset):
+                yield number, topology, src, dst, mode, usable

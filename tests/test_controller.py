@@ -385,11 +385,11 @@ class TestRandomizedInvariants:
 
 
 class TestSolveCount:
-    """Each Bellman-Ford call on the residual network is one shortest
-    augmenting path. A derived-mode admission finds its k paths with k calls
-    and counts the rest of the diversity by breadth-first augmentation on
-    the same flow, with no further call; static bounds never extend a search
-    past the k paths."""
+    """Each ``_residual_shortest`` call on the residual network finds one
+    shortest augmenting path. A derived-mode admission finds its k paths
+    with k calls and counts the rest of the diversity by breadth-first
+    augmentation on the same flow, with no further call; static bounds never
+    extend a search past the k paths."""
 
     @pytest.fixture
     def solves(self, monkeypatch):

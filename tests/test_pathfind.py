@@ -312,6 +312,22 @@ class TestDisjointSearch:
         with pytest.raises(RuntimeError):
             search.paths(3)
 
+    @pytest.mark.parametrize("mode", [LINK, NODE])
+    def test_no_usable_links(self, four_cycle, mode):
+        """Link mode compiles no arc at all, node mode internal arcs only."""
+        with pytest.raises(InsufficientDiversity) as caught:
+            DisjointSearch(four_cycle, "A", "C", mode, usable_links=set()).paths(1)
+        assert (caught.value.requested, caught.value.found) == (1, 0)
+        assert DisjointSearch(four_cycle, "A", "C", mode, usable_links=set()).count() == 0
+
+    def test_inconsistent_potentials_raise(self, theta):
+        """A potential that makes a residual arc's reduced cost negative
+        breaks the search's invariant; the search refuses to go on."""
+        search = DisjointSearch(theta, "A", "C", LINK)
+        search._potential[search._names.index("B")] = 5
+        with pytest.raises(RuntimeError, match="negative reduced cost"):
+            search.paths(1)
+
 
 def related_graphs(seed, count):
     """Seeded raw topologies of 6 to 120 nodes with an endpoint pair."""

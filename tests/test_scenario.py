@@ -21,6 +21,7 @@ from tnsc import (
     scenario_to_dict,
 )
 from tnsc.errors import ParseError, ValidationError
+from tnsc.model import DIMENSIONS
 
 from .conftest import make_request
 
@@ -283,6 +284,32 @@ class TestEvaluate:
         (row,) = evaluate([request], DERIVED_BOUNDS, topology=four_cycle)
         assert row["status"] == "NoMatchingPorts"
         assert row["error"]["node"] == "A"
+
+    def test_each_row_reads_each_trait_once(self, monkeypatch, table2_bounds,
+                                            four_cycle, ts1):
+        """An ok row, an out-of-range row, a derived row and a row whose
+        bounds derivation failed each read every trait once."""
+        from tnsc import DERIVED_BOUNDS
+
+        cases = [([ts1], table2_bounds, None),
+                 ([make_request("TS_hot", p=5)], table2_bounds, None),
+                 ([ts1], DERIVED_BOUNDS, four_cycle),
+                 ([make_request(src="Z")], DERIVED_BOUNDS, four_cycle)]
+        expected = [[request.trait(dim) for dim in DIMENSIONS]
+                    for (request,), _, _ in cases]
+        calls = []
+        original = SliceRequest.trait
+
+        def counting(self, dimension):
+            calls.append(dimension)
+            return original(self, dimension)
+
+        monkeypatch.setattr(SliceRequest, "trait", counting)
+        for (requests, bounds, topology), raw in zip(cases, expected):
+            calls.clear()
+            (row,) = evaluate(requests, bounds, topology=topology)
+            assert sorted(calls) == sorted(DIMENSIONS)
+            assert [row[dim]["r"] for dim in DIMENSIONS] == raw
 
     def test_rank_rows_order_and_tie_break(self, table2_bounds):
         rows = evaluate(

@@ -1,20 +1,29 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
 module and name and counts rejections by reason name, so renaming or moving
 either must fail here, not first in a traced benchmark run. The package's modules must also import each other
-without a cycle at run time, and the README's library example must run."""
+without a cycle at run time, the README's library example must run, and
+each differential test's documented full-run command must run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
+DIFFERENTIALS = ("test_engine_differential", "test_merge_differential",
+                 "test_shortest_differential")
+TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 
 
 def _load_spans():
@@ -77,3 +86,32 @@ def test_readme_library_example_runs(monkeypatch):
     block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(ROOT)
     exec(compile(block, str(README), "exec"), {})
+
+
+def _documented_commands():
+    """Each ``PYTHONPATH=src python -m tests.<name> ...`` line in the
+    differential modules' docstrings, as the argument list after
+    ``python``."""
+    for name in DIFFERENTIALS:
+        source = (ROOT / "tests" / f"{name}.py").read_text()
+        for line in ast.get_docstring(ast.parse(source)).splitlines():
+            words = line.split()
+            if words[:4] == ["PYTHONPATH=src", "python", "-m", f"tests.{name}"]:
+                yield words[2:]
+
+
+@pytest.mark.parametrize("command", list(_documented_commands()), ids=" ".join)
+def test_documented_full_run_command(command):
+    """The command runs on a tiny size and reports no mismatch."""
+    command = [TINY_SIZES.get(before, word)
+               for before, word in zip([None] + command, command)]
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, *command], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "mismatches=0" in done.stdout.split()
+
+
+def test_every_differential_documents_a_command():
+    documented = {command[1] for command in _documented_commands()}
+    assert documented == {f"tests.{name}" for name in DIFFERENTIALS}
