@@ -3,7 +3,8 @@
 Every link costs 1, so a path's cost is its hop count. Link- and
 node-disjoint k-sets come from min-cost augmentation: k successive shortest
 augmenting paths over a unit-capacity residual network (negative-cost
-reverse arcs), compiled once per search to integer-indexed arcs. Each path
+reverse arcs), compiled once per topology to integer-indexed arcs. Each
+search copies them and masks the arcs of links it may not use. Each path
 is a Dijkstra search over costs reduced by node potentials (Johnson's
 reweighting), breaking ties among equal-cost paths exactly as Bellman-Ford
 passes in arc order would. That is optimal and immune to the trap
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 
@@ -44,20 +46,53 @@ def _resolve_usable(topology: NetworkTopology,
                     usable_links: frozenset[str] | set[str] | None) -> set[str]:
     if usable_links is None:
         return {link.id for link in topology.links}
-    unknown = set(usable_links) - set(topology.link_by_id)
+    unknown = {link for link in usable_links if link not in topology.link_by_id}
     if unknown:
         raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
     return set(usable_links)
 
 
-def _residual_shortest(residual: list[tuple[int, int, int, int]],
+class _Network:
+    """A topology's residual network with every link usable, shared by all
+    its searches in one mode. Node i of the sorted ids is index i; splitting
+    makes it an ingress 2i and an egress 2i+1 joined by a unit-capacity
+    internal arc at position i, so arc-disjointness in the split graph is
+    node-disjointness in the original. Each link's a->b and b->a arcs follow
+    in link id order; ``link_arcs`` pairs each link with the first. Arc e is
+    (tail, head, cost, e); it carries flow while its residual entry is the
+    reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs."""
+
+    def __init__(self, topology: NetworkTopology, split: bool):
+        self.names = tuple(sorted(topology.nodes))
+        self.width = width = 2 if split else 1
+        self.index = index = {node: i for i, node in enumerate(self.names)}
+        arcs = [(2 * i, 2 * i + 1, 0, i) for i in range(len(index))] if split else []
+        links: list[str | None] = [None] * len(arcs)
+        self.link_arcs: list[tuple[str, int]] = []
+        for link in sorted(topology.links, key=lambda l: l.id):
+            a, b = width * index[link.a], width * index[link.b]
+            e = len(arcs)
+            arcs += [(a + width - 1, b, 1, e), (b + width - 1, a, 1, e + 1)]
+            links += [link.id, link.id]
+            self.link_arcs.append((link.id, e))
+        outgoing: list[list[int]] = [[] for _ in range(width * len(index))]
+        for tail, _, _, e in arcs:
+            outgoing[tail].append(e)
+        self.arcs, self.links = tuple(arcs), tuple(links)
+        self.outgoing = tuple(map(tuple, outgoing))
+
+
+_NETWORKS: dict[tuple[int, bool], _Network] = {}
+
+
+def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
                        outgoing: list[list[int]], potential: list[int],
                        source: int, sink: int) -> list[int] | None:
     """Dijkstra over the residual arcs (tail, head, cost, index), listed by
-    tail in ``outgoing``, with reduced costs ``cost + potential[tail] -
-    potential[head]``. Returns each node's predecessor arc index, or None
-    when the sink is unreachable, and moves the potentials on by the
-    distances found, capped at the sink's.
+    tail in ``outgoing`` (a masked arc is None and listed nowhere), with
+    reduced costs ``cost + potential[tail] - potential[head]``. Returns each
+    node's predecessor arc index, or None when the sink is unreachable, and
+    moves the potentials on by the distances found, capped at the sink's.
 
     Equal-cost paths tie-break as Gauss-Seidel Bellman-Ford passes over the
     arcs in list order would, with a strict comparison: a node's label is
@@ -106,8 +141,8 @@ class DisjointSearch:
     """One disjoint-path search between two endpoints: ``paths(k)`` gives
     the k-set and ``count()`` the maximum diversity.
 
-    Link and node modes compile one residual network to integer-indexed
-    arcs. ``paths(k)`` augments along k shortest paths, a min-cost flow
+    Link and node modes mask a copy of their topology's residual network.
+    ``paths(k)`` augments along k shortest paths, a min-cost flow
     whose decomposition is the k-set; the node potentials that keep every
     residual arc's reduced cost non-negative carry over from one ``paths()``
     call to the next, so a larger k resumes the same flow. ``count()`` resumes
@@ -132,41 +167,33 @@ class DisjointSearch:
         self._flow = 0
         self._counted = False
         if mode is not DisjointnessMode.SRLG_DISJOINT:
-            self._compile(mode is DisjointnessMode.NODE_DISJOINT)
+            self._copy_network(mode is DisjointnessMode.NODE_DISJOINT)
 
-    def _compile(self, split: bool) -> None:
-        # Node i of the sorted ids is index i. Node splitting makes it an
-        # ingress half 2i and an egress half 2i+1 joined by a unit-capacity
-        # internal arc, so arc-disjointness in the split graph is
-        # node-disjointness in the original; the endpoints are shared and
-        # get none. Internal arcs come first, then each usable link's a->b
-        # and b->a arcs in link id order. Arc e is (tail, head, cost, e); it
-        # carries flow while its residual entry is the reverse
-        # (head, tail, -cost, e). Each node lists the residual arcs that
-        # leave it, in no particular order; augmenting moves a flipped arc.
-        self._names = sorted(self.topology.nodes)
-        self._width = width = 2 if split else 1
-        egress = width - 1
-        index = {node: i for i, node in enumerate(self._names)}
-        src, dst = index[self.src], index[self.dst]
-        inner = [2 * i for i in range(len(self._names)) if split and i not in (src, dst)]
-        arcs = [(tail, tail + 1, 0, e) for e, tail in enumerate(inner)]
-        outgoing: list[list[int]] = [[] for _ in range(width * len(self._names))]
-        for e, tail in enumerate(inner):
-            outgoing[tail].append(e)
-        self._links: list[str | None] = [None] * len(arcs)
-        for link in sorted(self.topology.links, key=lambda l: l.id):
-            if link.id in self.usable:
-                a, b = width * index[link.a], width * index[link.b]
-                e = len(arcs)
-                arcs += [(a + egress, b, 1, e), (b + egress, a, 1, e + 1)]
-                outgoing[a + egress].append(e)
-                outgoing[b + egress].append(e + 1)
-                self._links += [link.id, link.id]
-        self._arcs, self._outgoing = arcs, outgoing
-        self._residual = list(arcs)
+    def _copy_network(self, split: bool) -> None:
+        # The network is built once per topology object and split flag, keyed
+        # by id because hashing a topology costs more than building it, and
+        # dropped with the topology. Each search copies it and masks each
+        # unusable link's arcs and, when split, the endpoints' internal arcs,
+        # which every path shares: a masked arc is None and leaves its tail's
+        # list. The rest keep their positions and so their relative order.
+        key = (id(self.topology), split)
+        if key not in _NETWORKS:
+            _NETWORKS[key] = _Network(self.topology, split)
+            weakref.finalize(self.topology, _NETWORKS.pop, key, None)
+        self._network = network = _NETWORKS[key]
+        residual: list[tuple[int, int, int, int] | None] = list(network.arcs)
+        outgoing = list(map(list, network.outgoing))
+        src, dst = network.index[self.src], network.index[self.dst]
+        masked = [e for link, first in network.link_arcs if link not in self.usable
+                  for e in (first, first + 1)]
+        for e in masked + ([src, dst] if network.width == 2 else []):
+            outgoing[residual[e][0]].remove(e)
+            residual[e] = None
+        self._residual, self._outgoing = residual, outgoing
+        self._carrying: set[int] = set()  # the arcs that carry flow
         self._potential = [0] * len(outgoing)
-        self._source, self._sink = width * src + egress, width * dst
+        self._source = network.width * src + network.width - 1
+        self._sink = network.width * dst
 
     def _augment_to(self, k: float, find_path: Callable[[], list | None]) -> int:
         """Augment along the paths ``find_path`` traces, as predecessor arcs
@@ -180,6 +207,7 @@ class DisjointSearch:
             while node != self._source:
                 tail, head, cost, e = residual[pred[node]]
                 residual[e] = (head, tail, -cost, e)
+                self._carrying ^= {e}
                 self._outgoing[tail].remove(e)
                 self._outgoing[head].append(e)
                 node = tail
@@ -211,10 +239,10 @@ class DisjointSearch:
         in (head, link id) order. Every cycle holds a link and so costs more
         than zero, so a min-cost flow holds none and every walk is a simple
         path."""
-        arcs, links = self._arcs, self._links
+        network = self._network
+        arcs, links = network.arcs, network.links
         outgoing: dict[int, list[int]] = {}
-        for _, _, e in sorted((arcs[e][1], links[e] or "", e)
-                              for e, arc in enumerate(self._residual) if arc != arcs[e]):
+        for _, _, e in sorted((arcs[e][1], links[e] or "", e) for e in self._carrying):
             outgoing.setdefault(arcs[e][0], []).append(e)
 
         paths = []
@@ -226,7 +254,7 @@ class DisjointSearch:
                 e = outgoing[node].pop(0)
                 node = arcs[e][1]
                 if links[e] is not None:
-                    nodes.append(self._names[node // self._width])
+                    nodes.append(network.names[node // network.width])
                     path_links.append(links[e])
             paths.append(Path(nodes=tuple(nodes), links=tuple(path_links)))
         return paths

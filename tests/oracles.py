@@ -6,7 +6,8 @@ array engine in ``tnsc.pathfind`` replaced, disjointness from raw set
 intersections, and the numeric references from exact rational arithmetic.
 ``reference_residual_shortest`` is the array Bellman-Ford that the
 potentials-based Dijkstra in ``tnsc.pathfind`` replaced, moved here
-unchanged.
+unchanged but for skipping the masked (None) arcs of a search's residual
+network.
 The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
 writer are the versions the library's integer merge and type-dispatched
 writer replaced, moved here unchanged.
@@ -244,19 +245,19 @@ class ReferenceSearch:
         return self._augment_to(math.inf)
 
 
-def reference_residual_shortest(residual: list[tuple[int, int, int, int]], source: int,
+def reference_residual_shortest(residual: list[tuple[int, int, int, int] | None], source: int,
                                 sink: int, node_count: int) -> list[int] | None:
     """Bellman-Ford with Gauss-Seidel passes over the residual arcs
-    (tail, head, cost, index) in list order. Returns each node's
-    predecessor arc index, or None when the sink is unreachable. The arc
-    order and the strict comparison fix which of several equal-cost paths
-    is found, and with it every k-set."""
+    (tail, head, cost, index) in list order, skipping masked (None) slots.
+    Returns each node's predecessor arc index, or None when the sink is
+    unreachable. The arc order and the strict comparison fix which of
+    several equal-cost paths is found, and with it every k-set."""
     dist = [math.inf] * node_count
     dist[source] = 0
     pred = [0] * node_count
     for _ in range(node_count + 1):
         changed = False
-        for tail, head, cost, index in residual:
+        for tail, head, cost, index in filter(None, residual):
             candidate = dist[tail] + cost
             if candidate < dist[head]:
                 dist[head] = candidate

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -9,11 +12,14 @@ from tnsc import (
     DisjointSearch,
     Path,
     k_disjoint_paths,
+    load_scenario,
     max_disjoint_count,
+    pathfind,
+    run_scenario,
     validate_topology,
     verify_disjoint,
 )
-from tnsc.errors import InsufficientDiversity
+from tnsc.errors import InsufficientDiversity, ValidationError
 
 from .conftest import make_topology
 from .oracles import (
@@ -83,6 +89,13 @@ class TestKDisjointPaths:
             k_disjoint_paths(four_cycle, "A", "C", 2, LINK,
                              usable_links={"L_AB", "L_BC"})
         assert err.value.found == 1
+
+    def test_unknown_usable_links_raise(self, four_cycle):
+        with pytest.raises(ValidationError) as caught:
+            DisjointSearch(four_cycle, "A", "C", LINK,
+                           usable_links={"L_ZZ", "L_AB", "L_XY"})
+        assert caught.value.element == "usable_links"
+        assert caught.value.message == "unknown links ['L_XY', 'L_ZZ']"
 
     def test_node_disjoint_stricter_than_link(self):
         # Two link-disjoint A-C paths must share the cut node M here.
@@ -314,7 +327,7 @@ class TestDisjointSearch:
 
     @pytest.mark.parametrize("mode", [LINK, NODE])
     def test_no_usable_links(self, four_cycle, mode):
-        """Link mode compiles no arc at all, node mode internal arcs only."""
+        """Link mode masks every arc, node mode leaves internal arcs only."""
         with pytest.raises(InsufficientDiversity) as caught:
             DisjointSearch(four_cycle, "A", "C", mode, usable_links=set()).paths(1)
         assert (caught.value.requested, caught.value.found) == (1, 0)
@@ -324,9 +337,83 @@ class TestDisjointSearch:
         """A potential that makes a residual arc's reduced cost negative
         breaks the search's invariant; the search refuses to go on."""
         search = DisjointSearch(theta, "A", "C", LINK)
-        search._potential[search._names.index("B")] = 5
+        search._potential[search._network.index["B"]] = 5
         with pytest.raises(RuntimeError, match="negative reduced cost"):
             search.paths(1)
+
+    def test_searches_share_a_network_without_changing_it(self):
+        """Interleaved searches on one topology object, differing in
+        endpoints, mode and usable links, give what each gives alone on a
+        separately parsed equal topology: none of them changes the compiled
+        network they all copy."""
+        rng = random.Random(4046)
+        for _ in range(6):
+            raw = random_graph_dict(rng, min_nodes=50, max_nodes=400)
+            shared = validate_topology(raw)
+            plans = []
+            for _ in range(8):
+                usable = {link.id for link in shared.links if rng.random() < 0.8}
+                plans.append((*rng.sample(sorted(shared.nodes), 2), rng.choice((LINK, NODE)),
+                              rng.choice((None, usable)), rng.randint(1, 3)))
+            # Each plan runs paths(k), then count() for about half of them.
+            steps = [i for i in range(len(plans)) for _ in range(rng.randint(1, 2))]
+            rng.shuffle(steps)
+            searches: dict[int, DisjointSearch] = {}
+            outcomes: dict[int, list] = {}
+            for i in steps:
+                src, dst, mode, usable, k = plans[i]
+                if i not in searches:
+                    searches[i] = DisjointSearch(shared, src, dst, mode, usable_links=usable)
+                    outcomes[i] = [_paths_or_found(searches[i], k)]
+                else:
+                    outcomes[i].append(searches[i].count())
+            for i, outcome in outcomes.items():
+                src, dst, mode, usable, k = plans[i]
+                alone = DisjointSearch(validate_topology(raw), src, dst, mode,
+                                       usable_links=usable)
+                expected = [_paths_or_found(alone, k)]
+                if len(outcome) == 2:
+                    expected.append(alone.count())
+                assert outcome == expected, plans[i]
+
+
+def _paths_or_found(search, k):
+    try:
+        return search.paths(k)
+    except InsufficientDiversity as err:
+        return err.found
+
+
+class TestNetworkMemo:
+    """Each topology object's network is compiled once per mode and lives
+    exactly as long as the topology does."""
+
+    def test_entry_goes_with_its_topology(self):
+        topology = complete_graph("ABCD")
+        for mode in (LINK, NODE):
+            DisjointSearch(topology, "A", "C", mode).count()
+        key = id(topology)
+        assert {(key, False), (key, True)} <= pathfind._NETWORKS.keys()
+        alive = weakref.ref(topology)
+        del topology
+        gc.collect()
+        assert alive() is None
+        assert not [entry for entry in pathfind._NETWORKS if entry[0] == key]
+
+    def test_scenario_compiles_once_per_mode(self, monkeypatch):
+        compiled = []
+        original = pathfind._Network
+
+        def counting(topology, split):
+            compiled.append(split)
+            return original(topology, split)
+
+        monkeypatch.setattr(pathfind, "_Network", counting)
+        scenario = load_scenario(str(FilePath(__file__).parent / "data"
+                                     / "five_node_failure.json"))
+        report = run_scenario(scenario)
+        assert report.entries
+        assert compiled == [True]
 
 
 def related_graphs(seed, count):
