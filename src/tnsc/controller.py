@@ -192,7 +192,8 @@ class Controller:
             rejection=Rejection.from_error(error),
         )
 
-    def _try_allocate(self, request: SliceRequest) -> AllocationRecord:
+    def _try_allocate(self, request: SliceRequest,
+                      assessment: Assessment | None = None) -> AllocationRecord:
         spec = request.client_ports
         for node in (request.src, request.dst):
             if node not in self.topology.device_by_node:
@@ -216,7 +217,7 @@ class Controller:
                 and len(self.ledger.control_contexts) >= self.control_context_limit):
             return self._rejected(request, ControlExhausted(self.control_context_limit))
 
-        assessment = self._evaluate(request, search)
+        assessment = assessment or self._evaluate(request, search)
         if assessment.errors:
             return self._rejected(request, assessment.errors[0])
 
@@ -289,11 +290,14 @@ class Controller:
                  ) -> tuple[FeasibilityVector | None, FeasibilityIndex | None]:
         """Read-only feasibility of a request against the current network;
         (None, None) when it does not normalize."""
+        assessment = self._appraisal(request)
+        return (assessment.vector, assessment.index) if assessment else (None, None)
+
+    def _appraisal(self, request: SliceRequest) -> Assessment | None:
         try:
-            assessment = self._evaluate(request)
+            return self._evaluate(request)
         except TnscError:
-            return None, None
-        return assessment.vector, assessment.index
+            return None
 
     # -- release ------------------------------------------------------------
 
@@ -375,11 +379,13 @@ class Controller:
             self.records[slice_id] = replace(
                 record, state=AllocationState.RELEASED, stale=False)
 
-        appraisals = {slice_id: self.appraise(self.requests[slice_id])
+        appraisals = {slice_id: self._appraisal(self.requests[slice_id])
                       for slice_id in targets}
+        # Static bounds ignore the ledger, so readmission reuses the appraisal.
+        reuse = appraisals if self.bounds.mode is BoundsMode.STATIC else {}
 
         def sort_key(slice_id: str):
-            index = appraisals[slice_id][1]
+            index = appraisals[slice_id] and appraisals[slice_id].index
             if index is None:
                 # Unnormalizable requests rank as least feasible.
                 return (1, 0.0, slice_id)
@@ -389,7 +395,7 @@ class Controller:
 
         entries = []
         for slice_id in sorted(targets, key=sort_key):
-            record = self._try_allocate(self.requests[slice_id])
+            record = self._try_allocate(self.requests[slice_id], reuse.get(slice_id))
             if record.state is AllocationState.ACTIVE:
                 outcome = "readmitted"
             elif self.policy.on_failure is FailurePolicy.MARK_DEGRADED:
@@ -399,13 +405,13 @@ class Controller:
                 record = replace(record, state=AllocationState.RELEASED)
                 outcome = "dropped"
             self.records[slice_id] = record
-            vector, index = appraisals[slice_id]
+            appraisal = appraisals[slice_id]
             entries.append(ReconfigEntry(
                 slice_id=slice_id,
                 old_paths=old[slice_id].paths,
                 new_paths=record.paths,
-                vector=vector,
-                index=index,
+                vector=appraisal and appraisal.vector,
+                index=appraisal and appraisal.index,
                 outcome=outcome,
                 rejection=record.rejection,
             ))

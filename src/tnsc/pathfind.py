@@ -7,11 +7,13 @@ reverse arcs), compiled once per topology to integer-indexed arcs. Each
 search copies them and masks the arcs of links it may not use. Each path
 is a Dijkstra search over costs reduced by node potentials (Johnson's
 reweighting), breaking ties among equal-cost paths exactly as Bellman-Ford
-passes in arc order would. That is optimal and immune to the trap
-topologies that defeat greedy removal. The maximum diversity comes from
-breadth-first max-flow augmentation resumed from the same flow on the same
-arcs. Risk-group disjointness is NP-hard in general, so that mode runs a
-budget-bounded backtracking search and reports budget exhaustion explicitly.
+passes in arc order would. The first path is an A* search, its potential
+starting at minus the hop distance to the destination; ties break the same.
+That is optimal and immune to the trap topologies that defeat greedy
+removal. The maximum diversity comes from breadth-first max-flow
+augmentation resumed from the same flow on the same arcs. Risk-group
+disjointness is NP-hard in general, so that mode runs a budget-bounded
+backtracking search and reports budget exhaustion explicitly.
 """
 
 from __future__ import annotations
@@ -60,7 +62,10 @@ class _Network:
     node-disjointness in the original. Each link's a->b and b->a arcs follow
     in link id order; ``link_arcs`` pairs each link with the first. Arc e is
     (tail, head, cost, e); it carries flow while its residual entry is the
-    reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs."""
+    reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs.
+    ``starts`` memoizes per destination minus each node's hop distance to it
+    over every link (the node count if none): as the start potential of
+    searches, which only mask arcs, it makes the first path search A*."""
 
     def __init__(self, topology: NetworkTopology, split: bool):
         self.names = tuple(sorted(topology.nodes))
@@ -80,6 +85,23 @@ class _Network:
             outgoing[tail].append(e)
         self.arcs, self.links = tuple(arcs), tuple(links)
         self.outgoing = tuple(map(tuple, outgoing))
+        self.starts: dict[int, list[int]] = {}
+
+    def start_potential(self, dst: int) -> list[int]:
+        """Node ``dst``'s entry in ``starts``, shared: callers copy it."""
+        if dst not in self.starts:
+            far = len(self.names)
+            hops, queue = [far] * far, [dst]
+            hops[dst] = 0
+            for node in queue:
+                for e in self.outgoing[self.width * node + self.width - 1]:
+                    head = self.arcs[e][1] // self.width
+                    if hops[head] == far:
+                        hops[head] = hops[node] + 1
+                        queue.append(head)
+            negated = [-h for h in range(far + 1)]  # one int object per value
+            self.starts[dst] = [negated[h] for h in hops for _ in range(self.width)]
+        return self.starts[dst]
 
 
 _NETWORKS: dict[tuple[int, bool], _Network] = {}
@@ -92,7 +114,7 @@ def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
     tail in ``outgoing`` (a masked arc is None and listed nowhere), with
     reduced costs ``cost + potential[tail] - potential[head]``. Returns each
     node's predecessor arc index, or None when the sink is unreachable, and
-    moves the potentials on by the distances found, capped at the sink's.
+    moves each popped node's potential on by its distance less the sink's.
 
     Equal-cost paths tie-break as Gauss-Seidel Bellman-Ford passes over the
     arcs in list order would, with a strict comparison: a node's label is
@@ -101,7 +123,8 @@ def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
     reaches its final distance over a tight arc from a final tail, at the
     first scan of that arc after the tail's own, so the label is the
     smallest such scan and its arc is the predecessor: the k-sets are
-    those Bellman-Ford finds."""
+    those Bellman-Ford finds, from any potential that keeps reduced costs
+    non-negative: it adds a constant per node and keeps the tight arcs."""
     count = len(residual)
     if not count:
         return None
@@ -110,12 +133,14 @@ def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
     pred = [0] * len(potential)
     dist[source], scan[source] = 0, -1
     heap = [(0, -1, source)]
+    popped = []
     while heap:
         d, t, node = heapq.heappop(heap)
         if node == sink:
             break
         if t != scan[node]:  # stale: an arc relaxes once, so labels are unique
             continue
+        popped.append(node)
         passes, last = divmod(t, count)
         offset = d + potential[node]
         for e in outgoing[node]:
@@ -132,8 +157,8 @@ def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
                 heapq.heappush(heap, (candidate, when, head))
     else:
         return None
-    potential[:] = [p + (reached if reached < d else d)
-                    for p, reached in zip(potential, dist)]
+    for node in popped:
+        potential[node] += dist[node] - d  # -d for all nodes keeps reduced costs
     return pred
 
 
@@ -145,9 +170,10 @@ class DisjointSearch:
     ``paths(k)`` augments along k shortest paths, a min-cost flow
     whose decomposition is the k-set; the node potentials that keep every
     residual arc's reduced cost non-negative carry over from one ``paths()``
-    call to the next, so a larger k resumes the same flow. ``count()`` resumes
-    from that flow with breadth-first augmenting paths until none is left,
-    since a maximum flow's value does not depend on the augmenting order.
+    call to the next from the A* start in ``_Network.starts``, so a larger k
+    resumes the same flow. ``count()`` resumes from that flow with
+    breadth-first augmenting paths until none is left, since a maximum
+    flow's value does not depend on the augmenting order.
     The flow is no longer min-cost after ``count()``, so ``paths()`` refuses
     to run after it. SRLG mode runs the bounded search for each call.
     """
@@ -191,7 +217,7 @@ class DisjointSearch:
             residual[e] = None
         self._residual, self._outgoing = residual, outgoing
         self._carrying: set[int] = set()  # the arcs that carry flow
-        self._potential = [0] * len(outgoing)
+        self._potential = list(network.start_potential(dst))
         self._source = network.width * src + network.width - 1
         self._sink = network.width * dst
 
@@ -347,10 +373,8 @@ def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
             link = topology.link_between(a, b)
             if link is None or link.id != path.links[i]:
                 return False
-    first = paths[0]
-    for path in paths[1:]:
-        if path.nodes[0] != first.nodes[0] or path.nodes[-1] != first.nodes[-1]:
-            return False
+    if len({(path.nodes[0], path.nodes[-1]) for path in paths}) > 1:
+        return False
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             if set(paths[i].links) & set(paths[j].links):

@@ -22,6 +22,7 @@ from tnsc.errors import (
 )
 
 from tnsc import bounds_from_dict, pathfind
+from tnsc import controller as controller_module
 
 from .conftest import assert_conserved, make_request, make_topology
 
@@ -290,6 +291,32 @@ class TestReconfigure:
         dropped = {e.slice_id: e for e in entries}["TS_2"]
         assert dropped.outcome == "dropped"
         assert controller.records["TS_2"].state is AllocationState.RELEASED
+        assert_conserved(controller)
+
+    @pytest.mark.parametrize("static, per_slice", [(True, 1), (False, 2)])
+    def test_assessments_per_moved_slice(self, theta, table2_bounds, monkeypatch,
+                                         static, per_slice):
+        """Static bounds ignore the ledger, so a moved slice's appraisal is
+        its readmission's assessment too; derived bounds follow the ledger
+        each readmission debits, so a readmission assesses again."""
+        controller = Controller(theta, bounds=table2_bounds, mode=NODE) if static \
+            else node_controller(theta)
+        for rid in ("TS_1", "TS_2"):
+            controller.admit(make_request(rid, p=2, d=5, s=2))
+        affected = controller.apply_event(
+            Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_BC"))
+        assessed = []
+        original = controller_module.assess
+
+        def counting(request, bounds, *rest):
+            assessed.append(request.id)
+            return original(request, bounds, *rest)
+
+        monkeypatch.setattr(controller_module, "assess", counting)
+        entries = controller.reconfigure(affected)
+        assert [entry.outcome for entry in entries] == ["readmitted", "readmitted"]
+        assert all(entry.index is not None for entry in entries)
+        assert sorted(assessed) == sorted(affected * per_slice)
         assert_conserved(controller)
 
     def test_empty_affected_list(self, theta):

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import gc
+import heapq
 import random
 import weakref
 from pathlib import Path as FilePath
+from types import SimpleNamespace
 
 import pytest
 
 from tnsc import (
+    Controller,
     DisjointnessMode,
     DisjointSearch,
     Path,
     k_disjoint_paths,
     load_scenario,
     max_disjoint_count,
+    parse_scenario,
     pathfind,
     run_scenario,
     validate_topology,
@@ -414,6 +418,145 @@ class TestNetworkMemo:
         report = run_scenario(scenario)
         assert report.entries
         assert compiled == [True]
+
+    def test_interleaved_destinations_match_a_fresh_copy(self):
+        """Searches towards several destinations, interleaved on one
+        topology object, give what the same searches give on a separately
+        parsed copy, and leave each destination's memo entry as a fresh
+        network would build it: no search writes into the shared start."""
+        rng = random.Random(4047)
+        for _ in range(4):
+            raw = random_graph_dict(rng, min_nodes=50, max_nodes=400)
+            shared, fresh = validate_topology(raw), validate_topology(raw)
+            names = sorted(shared.nodes)
+            targets = rng.sample(names, 3)
+            for _ in range(9):
+                dst = rng.choice(targets)
+                src = rng.choice([name for name in names if name != dst])
+                mode, k = rng.choice((LINK, NODE)), rng.randint(1, 3)
+                got = DisjointSearch(shared, src, dst, mode)
+                want = DisjointSearch(fresh, src, dst, mode)
+                assert _paths_or_found(got, k) == _paths_or_found(want, k)
+                assert got.count() == want.count()
+            for split in (False, True):
+                network = pathfind._NETWORKS[(id(shared), split)]
+                rebuilt = pathfind._Network(shared, split)
+                for dst in network.starts:
+                    assert network.starts[dst] == rebuilt.start_potential(dst)
+
+    def test_destination_entries_go_with_their_topology(self):
+        topology = complete_graph("ABCDE")
+        for dst in "BCD":
+            DisjointSearch(topology, "A", dst, NODE).paths(1)
+        network = pathfind._NETWORKS[(id(topology), True)]
+        assert sorted(network.starts) == [1, 2, 3]
+        alive = weakref.ref(network)
+        del topology, network
+        gc.collect()
+        assert alive() is None
+
+    def test_ingestion_builds_no_destination_entry(self, monkeypatch):
+        built = []
+        original = pathfind._Network.start_potential
+
+        def counting(network, dst):
+            built.append(dst)
+            return original(network, dst)
+
+        monkeypatch.setattr(pathfind._Network, "start_potential", counting)
+        text = (FilePath(__file__).parent / "data" / "five_node_failure.json").read_text()
+        scenario = parse_scenario(text)
+        Controller(scenario.topology, scenario.bounds, scenario.mode, scenario.policy)
+        assert built == []
+        assert not [key for key in pathfind._NETWORKS if key[0] == id(scenario.topology)]
+
+
+def hop_counts(topology, dst):
+    """Hop distance from each node that reaches ``dst``, by a plain
+    breadth-first search over the topology's adjacency."""
+    hops = {dst: 0}
+    queue = [dst]
+    for node in queue:
+        for neighbor, _ in topology.adjacency[node]:
+            if neighbor not in hops:
+                hops[neighbor] = hops[node] + 1
+                queue.append(neighbor)
+    return hops
+
+
+def ring_with_chords(size, step):
+    names = [f"r{i:02d}" for i in range(size)]
+    links = [(f"L{i:02d}", names[i], names[(i + 1) % size]) for i in range(size)]
+    links += [(f"C{i:02d}", names[i], names[(i + step) % size])
+              for i in range(0, size, step // 2)]
+    return make_topology(names, links)
+
+
+class TestStartPotential:
+    """A fresh search starts from minus each node's hop distance to the
+    destination over every link, which keeps every reduced cost
+    non-negative and turns the first path search into A*."""
+
+    def start_cases(self):
+        """Seeded connected graphs of 50 to 400 nodes, each with a
+        disconnected node pair added, and a usable subset per search."""
+        rng = random.Random(5150)
+        for _ in range(10):
+            raw = random_graph_dict(rng, min_nodes=50, max_nodes=400)
+            raw = dict(raw, nodes=raw["nodes"] + ["island_a", "island_b"],
+                       links=raw["links"] + [{"id": "island", "a": "island_a",
+                                              "b": "island_b"}])
+            topology = validate_topology(raw)
+            main = raw["nodes"][:-2]
+            pairs = [tuple(rng.sample(sorted(topology.nodes), 2)) for _ in range(3)]
+            pairs += [("island_a", rng.choice(main)), (rng.choice(main), "island_b")]
+            for src, dst in pairs:
+                for mode in (LINK, NODE):
+                    usable = rng.choice((None, {link.id for link in topology.links
+                                                if rng.random() < 0.7}))
+                    yield topology, src, dst, mode, usable
+
+    def test_start_is_minus_the_hop_distance(self):
+        for topology, src, dst, mode, usable in self.start_cases():
+            search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+            names = sorted(topology.nodes)
+            hops = hop_counts(topology, dst)
+            width = 2 if mode is NODE else 1
+            expected = [-hops.get(names[v // width], len(names))
+                        for v in range(width * len(names))]
+            assert search._potential == expected, (src, dst, mode)
+
+    def test_start_reduced_costs_are_non_negative(self):
+        for topology, src, dst, mode, usable in self.start_cases():
+            search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+            potential = search._potential
+            for arc in filter(None, search._residual):
+                tail, head, cost, _ = arc
+                assert cost + potential[tail] - potential[head] >= 0, (src, dst, arc)
+
+    def test_first_search_pops_fewer_nodes_on_the_same_path(self, monkeypatch):
+        popped = []
+
+        def counting(heap):
+            popped.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(pathfind, "heapq", SimpleNamespace(
+            heappop=counting, heappush=heapq.heappush))
+        search = DisjointSearch(ring_with_chords(48, 8), "r00", "r21", LINK)
+        chains = {}
+        for name, start in (("zeros", [0] * len(search._potential)),
+                            ("hops", list(search._potential))):
+            popped.clear()
+            pred = pathfind._residual_shortest(search._residual, search._outgoing,
+                                               start, search._source, search._sink)
+            chain, node = [], search._sink
+            while node != search._source:
+                chain.append(pred[node])
+                node = search._residual[pred[node]][0]
+            chains[name] = (chain, len(popped))
+        assert chains["hops"][0] == chains["zeros"][0]
+        assert chains["hops"][1] < chains["zeros"][1]
 
 
 def related_graphs(seed, count):
