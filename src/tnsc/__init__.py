@@ -30,6 +30,7 @@ from .feasibility import (
     normalize_rising,
     normalize_trait,
     rank,
+    rank_key,
 )
 from .model import (
     DERIVED_BOUNDS,
@@ -45,7 +46,6 @@ from .model import (
     PortGroup,
     PortSpec,
     Rejection,
-    ResourceView,
     SliceRequest,
     TraitBounds,
     bounds_from_dict,

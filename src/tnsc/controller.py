@@ -22,7 +22,7 @@ from .errors import (
     UnknownLink,
     UnknownSlice,
 )
-from .feasibility import Assessment, FeasibilityIndex, FeasibilityVector, assess
+from .feasibility import Assessment, FeasibilityIndex, FeasibilityVector, assess, rank_key
 from .model import (
     DERIVED_BOUNDS,
     AllocationRecord,
@@ -32,7 +32,6 @@ from .model import (
     Path,
     PortSpec,
     Rejection,
-    ResourceView,
     SliceRequest,
     TraitBounds,
     derive_bounds,
@@ -280,18 +279,11 @@ class Controller:
         if self.bounds.mode is BoundsMode.DERIVED:
             if search is None:
                 search = self._search(request, self._usable_links(request.calendar_slots))
-            bounds = derive_bounds(request, ResourceView(
-                search, self.ledger.residual_slots, self.ledger.residual_ports))
+            bounds = derive_bounds(request, search, self.ledger.residual_slots,
+                                   self.ledger.residual_ports)
         else:
             bounds = self.bounds
         return assess(request, bounds)
-
-    def appraise(self, request: SliceRequest,
-                 ) -> tuple[FeasibilityVector | None, FeasibilityIndex | None]:
-        """Read-only feasibility of a request against the current network;
-        (None, None) when it does not normalize."""
-        assessment = self._appraisal(request)
-        return (assessment.vector, assessment.index) if assessment else (None, None)
 
     def _appraisal(self, request: SliceRequest) -> Assessment | None:
         try:
@@ -371,27 +363,21 @@ class Controller:
             and record.stale and record.state is AllocationState.ACTIVE
         ]
 
-        old: dict[str, AllocationRecord] = {}
+        old = {slice_id: self.records[slice_id] for slice_id in targets}
         for slice_id in targets:
-            record = self.records[slice_id]
-            self._credit(record)
-            old[slice_id] = record
-            self.records[slice_id] = replace(
-                record, state=AllocationState.RELEASED, stale=False)
+            self.release(slice_id)
 
         appraisals = {slice_id: self._appraisal(self.requests[slice_id])
                       for slice_id in targets}
         # Static bounds ignore the ledger, so readmission reuses the appraisal.
         reuse = appraisals if self.bounds.mode is BoundsMode.STATIC else {}
 
+        descending = self.policy.order is ReconfigOrder.DESCENDING_INDEX
+
         def sort_key(slice_id: str):
+            # Unnormalizable requests rank as least feasible.
             index = appraisals[slice_id] and appraisals[slice_id].index
-            if index is None:
-                # Unnormalizable requests rank as least feasible.
-                return (1, 0.0, slice_id)
-            signed = -index.value if self.policy.order is ReconfigOrder.DESCENDING_INDEX \
-                else index.value
-            return (0, signed, slice_id)
+            return rank_key(index and index.value, slice_id, descending)
 
         entries = []
         for slice_id in sorted(targets, key=sort_key):

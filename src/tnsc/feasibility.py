@@ -213,18 +213,26 @@ def group_by_boolean(
     return groups
 
 
+def rank_key(value: float | None, slice_id: str,
+             descending: bool = True) -> tuple[bool, float, str]:
+    """The one ranking rule: by index, descending unless told otherwise,
+    ties on ascending slice id so replay stays deterministic, and a slice
+    without an index (None, unlike 0.0) after every scored one."""
+    if value is None:
+        return (True, 0.0, slice_id)
+    return (False, -value if descending else value, slice_id)
+
+
 def rank(requests: Sequence[SliceRequest], bounds: TraitBounds,
          weights: Mapping[str, float] | None = None) -> list[Assessment]:
-    """Order requests by descending feasibility index.
-
-    Ties break on ascending slice id so replay stays deterministic. A
+    """Order requests by :func:`rank_key` on their feasibility index. A
     request carrying its own weights overrides the call-level ones.
     """
     ranked = [assess(request, bounds, weights) for request in requests]
     for assessment in ranked:
         if assessment.errors:
             raise assessment.errors[0]
-    ranked.sort(key=lambda r: (-r.index.value, r.slice_id))
+    ranked.sort(key=lambda r: rank_key(r.index.value, r.slice_id))
     return ranked
 
 

@@ -288,20 +288,6 @@ class AllocationRecord:
     index: object | None = None
 
 
-@dataclass(frozen=True)
-class ResourceView:
-    """Residual-capacity lens that ``derive_bounds`` resolves a request
-    against. ``search`` fixes the topology, the disjointness mode and the
-    usable links; ``derive_bounds`` calls its ``count()``, which resumes its
-    flow and ends its ``paths()``. The controller passes the admission's
-    search and its live ledger; residuals from a fresh ledger give the
-    network as built."""
-
-    search: DisjointSearch
-    residual_slots: Mapping[str, int]
-    residual_ports: Mapping[tuple[str, str, float], int]
-
-
 # ---------------------------------------------------------------------------
 # Topology ingestion and serialization
 # ---------------------------------------------------------------------------
@@ -544,26 +530,30 @@ def _check_endpoint_ports(topology: NetworkTopology, request: SliceRequest) -> N
             raise NoMatchingPorts(node, spec.port_type, spec.gbps)
 
 
-def derive_bounds(request: SliceRequest, view: ResourceView) -> TraitBounds:
-    """Resolve per-request trait ranges against the network a view sees.
+def derive_bounds(request: SliceRequest, search: DisjointSearch,
+                  residual_slots: Mapping[str, int],
+                  residual_ports: Mapping[tuple[str, str, float], int]) -> TraitBounds:
+    """Resolve per-request trait ranges against the network ``search`` sees:
+    it fixes the topology, the disjointness mode and the usable links.
 
-    Upper bounds: the diversity ``view.search`` counts, in its mode over its
-    usable links; the smaller residual inventory of the matching port group
-    at the two endpoints; and the smallest residual slot pool among the
-    search's usable links. A view over a fresh ledger with an unrestricted
-    search gives the ranges of the topology as built.
+    Upper bounds: the diversity ``search.count()`` finds, which resumes its
+    flow and ends its ``paths()``; the smaller residual inventory of the
+    matching port group at the two endpoints; and the smallest residual slot
+    pool among the search's usable links. The controller passes the
+    admission's search and its live ledger; an unrestricted search over a
+    fresh ledger's residuals gives the ranges of the topology as built.
 
     Raises NoDevice when an endpoint has no device profile and
     NoMatchingPorts when no port group matches the requested kind.
     """
-    _check_endpoint_ports(view.search.topology, request)
+    _check_endpoint_ports(search.topology, request)
     spec = request.client_ports
-    ports = min(view.residual_ports.get((node, spec.port_type, spec.gbps), 0)
+    ports = min(residual_ports.get((node, spec.port_type, spec.gbps), 0)
                 for node in (request.src, request.dst))
-    slot_pool = [view.residual_slots.get(link_id, 0) for link_id in view.search.usable]
+    slot_pool = [residual_slots.get(link_id, 0) for link_id in search.usable]
     return TraitBounds(
         mode=BoundsMode.DERIVED,
-        topology=Bound(DIMENSION_FLOORS["topology"], view.search.count()),
+        topology=Bound(DIMENSION_FLOORS["topology"], search.count()),
         device=Bound(DIMENSION_FLOORS["device"], ports),
         data_plane=Bound(DIMENSION_FLOORS["data_plane"],
                          min(slot_pool) if slot_pool else 0),

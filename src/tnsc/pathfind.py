@@ -166,16 +166,17 @@ class DisjointSearch:
     """One disjoint-path search between two endpoints: ``paths(k)`` gives
     the k-set and ``count()`` the maximum diversity.
 
-    Link and node modes mask a copy of their topology's residual network.
-    ``paths(k)`` augments along k shortest paths, a min-cost flow
-    whose decomposition is the k-set; the node potentials that keep every
-    residual arc's reduced cost non-negative carry over from one ``paths()``
-    call to the next from the A* start in ``_Network.starts``, so a larger k
-    resumes the same flow. ``count()`` resumes from that flow with
-    breadth-first augmenting paths until none is left, since a maximum
-    flow's value does not depend on the augmenting order.
-    The flow is no longer min-cost after ``count()``, so ``paths()`` refuses
-    to run after it. SRLG mode runs the bounded search for each call.
+    Each search masks a copy of its topology's residual network, unsplit in
+    SRLG mode. In link and node modes ``paths(k)`` augments along k shortest
+    paths, a min-cost flow whose decomposition is the k-set; the node
+    potentials that keep every residual arc's reduced cost non-negative
+    carry over from one ``paths()`` call to the next from the A* start in
+    ``_Network.starts``, so a larger k resumes the same flow. ``count()``
+    resumes from that flow with breadth-first augmenting paths until none is
+    left, since a maximum flow's value does not depend on the augmenting
+    order. The flow is no longer min-cost after ``count()``, so ``paths()``
+    refuses to run after it. SRLG mode runs the bounded search for each
+    call, and counts its link-mode ceiling on its own network from flow 0.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
@@ -192,8 +193,7 @@ class DisjointSearch:
         self.srlg_budget = srlg_budget
         self._flow = 0
         self._counted = False
-        if mode is not DisjointnessMode.SRLG_DISJOINT:
-            self._copy_network(mode is DisjointnessMode.NODE_DISJOINT)
+        self._copy_network(mode is DisjointnessMode.NODE_DISJOINT)
 
     def _copy_network(self, split: bool) -> None:
         # The network is built once per topology object and split flag, keyed
@@ -288,10 +288,10 @@ class DisjointSearch:
     def paths(self, k: int) -> list[Path]:
         """The k-set of ``k_disjoint_paths``. Raises RuntimeError after
         ``count()``: decomposing a flow past k would give the wrong paths."""
-        if self._counted or self._flow > k:
-            raise RuntimeError("paths() after count() or a larger paths()")
         if k < 1:
             raise ValidationError("k", "must be at least 1")
+        if self._counted or self._flow > k:
+            raise RuntimeError("paths() after count() or a larger paths()")
         if self.mode is DisjointnessMode.SRLG_DISJOINT:
             paths = _srlg_disjoint(self.topology, self.src, self.dst, k,
                                    self.usable, self.srlg_budget)
@@ -309,13 +309,12 @@ class DisjointSearch:
         """The diversity of ``max_disjoint_count``, resumed from the flow
         ``paths`` left."""
         self._counted = True
+        ceiling = self._augment_to(math.inf, self._breadth_first)
         if self.mode is not DisjointnessMode.SRLG_DISJOINT:
-            return self._augment_to(math.inf, self._breadth_first)
+            return ceiling
         # Every probe k <= ceiling walks the same depth-first tree in the
         # same order and stops where it first holds k paths, so one search
         # for the ceiling finds as deep a set as any probe would.
-        ceiling = DisjointSearch(self.topology, self.src, self.dst,
-                                 usable_links=self.usable).count()
         try:
             _srlg_disjoint(self.topology, self.src, self.dst, ceiling,
                            self.usable, self.srlg_budget)

@@ -25,14 +25,13 @@ from .controller import (
     ResourceLedger,
 )
 from .errors import ParseError, TnscError, ValidationError
-from .feasibility import FeasibilityIndex, FeasibilityVector, assess
+from .feasibility import FeasibilityIndex, FeasibilityVector, assess, rank_key
 from .model import (
     DIMENSIONS,
     AllocationRecord,
     BoundsMode,
     NetworkTopology,
     Path,
-    ResourceView,
     SliceRequest,
     TraitBounds,
     _as_choice,
@@ -62,6 +61,10 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+_PLAIN = ((int, int), (float, float), (str, str.__str__), (Mapping, dict),
+          ((list, tuple), list))
+
+
 def _write_canonical(value, out: list[str]) -> None:
     kind = type(value)
     if kind is str:
@@ -80,18 +83,12 @@ def _write_canonical(value, out: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    # Subclasses (str and int enums), other mappings and every error case.
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
-    elif isinstance(value, str):
-        out.append(_escape(value))
-    elif isinstance(value, Mapping):
-        _write_object(value, out)
-    elif isinstance(value, (list, tuple)):
-        _write_array(value, out)
     else:
+        # Subclasses (str and int enums) and other mappings write as the
+        # plain value; str.__str__, unlike str(), gives a str enum's value.
+        for base, plain in _PLAIN:
+            if isinstance(value, base):
+                return _write_canonical(plain(value), out)
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -444,9 +441,9 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 # The search rejects endpoints that are not nodes, so the
                 # device checks run first and keep their reasons.
                 _check_endpoint_ports(topology, request)
-                resolved = derive_bounds(request, ResourceView(
-                    DisjointSearch(topology, request.src, request.dst, mode),
-                    ledger.residual_slots, ledger.residual_ports))
+                resolved = derive_bounds(
+                    request, DisjointSearch(topology, request.src, request.dst, mode),
+                    ledger.residual_slots, ledger.residual_ports)
             else:
                 resolved = bounds
         except TnscError as err:
@@ -475,13 +472,9 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
 
 
 def rank_rows(rows: list[dict]) -> list[dict]:
-    """Sort evaluation rows by descending index; diagnostic rows sink to the
-    bottom. Ties break on ascending slice id."""
-    return sorted(rows, key=lambda row: (
-        row["index"] is None,
-        -(row["index"] or 0.0),
-        row["slice"],
-    ))
+    """Sort evaluation rows by :func:`~tnsc.feasibility.rank_key`: descending
+    index, ties on ascending slice id, diagnostic rows at the bottom."""
+    return sorted(rows, key=lambda row: rank_key(row["index"], row["slice"]))
 
 
 _CSV_HEADER = ("slice,control,topology_r,topology_value,device_r,device_value,"

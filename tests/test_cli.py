@@ -152,7 +152,11 @@ def test_paths_insufficient_diversity_fails(inputs, capsys):
     (["--src", "A", "--dst", "Z"], "dst: unknown node 'Z'"),
     (["--src", "A", "--dst", "A"], "dst: src and dst must differ"),
     (["--src", "A", "--dst", "C", "--k", "0"], "k: must be at least 1"),
-], ids=["unknown-node", "same-endpoints", "k-zero"])
+    *((["--src", "A", "--dst", "C", "--k", "-1", "--mode", mode],
+       "k: must be at least 1")
+      for mode in ("link-disjoint", "node-disjoint", "srlg-disjoint")),
+], ids=["unknown-node", "same-endpoints", "k-zero",
+        "k-negative-link", "k-negative-node", "k-negative-srlg"])
 def test_paths_bad_arguments_exit_one(inputs, capsys, args, message):
     code = main(["paths", "--topology", inputs["topology"], *args])
     assert code == 1

@@ -21,8 +21,10 @@ from tnsc.errors import (
     UnknownSlice,
 )
 
-from tnsc import bounds_from_dict, pathfind
+from tnsc import bounds_from_dict, pathfind, rank, rank_rows
 from tnsc import controller as controller_module
+from tnsc import feasibility
+from tnsc.feasibility import Assessment, FeasibilityIndex
 
 from .conftest import assert_conserved, make_request, make_topology
 
@@ -332,6 +334,49 @@ class TestReconfigure:
         released = controller.release("TS_2")
         assert released.state is AllocationState.RELEASED
         assert_conserved(controller)
+
+
+class TestOneRankingRule:
+    """``rank``, ``rank_rows`` and ``reconfigure`` order the same index
+    values the same way: ties on slice id, 0.0 before an unscored slice,
+    and ``reconfigure`` reversed under the ascending policy."""
+
+    VALUES = {"s4": 0.5, "s1": 0.5, "s7": 0.9, "s2": 0.0, "s5": None,
+              "s3": 0.5, "s0": None, "s6": 0.25}
+    DESCENDING = ["s7", "s1", "s3", "s4", "s6", "s2", "s0", "s5"]
+    ASCENDING = ["s2", "s6", "s1", "s3", "s4", "s7", "s0", "s5"]
+
+    @staticmethod
+    def assessment(slice_id, value):
+        return Assessment(slice_id, {}, (), None,
+                          None if value is None else FeasibilityIndex(value, {}))
+
+    def test_rank_and_rank_rows(self, monkeypatch, table2_bounds):
+        rows = [{"slice": slice_id, "index": value}
+                for slice_id, value in self.VALUES.items()]
+        assert [row["slice"] for row in rank_rows(rows)] == self.DESCENDING
+        monkeypatch.setattr(feasibility, "assess", lambda request, *rest:
+                            self.assessment(request.id, self.VALUES[request.id]))
+        scored = [make_request(slice_id) for slice_id, value in self.VALUES.items()
+                  if value is not None]
+        assert [r.slice_id for r in rank(scored, table2_bounds)] == [
+            slice_id for slice_id in self.DESCENDING if self.VALUES[slice_id] is not None]
+
+    @pytest.mark.parametrize("order", list(ReconfigOrder))
+    def test_reconfigure(self, four_cycle, table2_bounds, order):
+        controller = Controller(four_cycle, bounds=table2_bounds,
+                                policy=ReconfigPolicy(order=order))
+        for slice_id in self.VALUES:
+            controller.admit(make_request(slice_id, d=1, s=1))
+        affected = controller.apply_event(
+            Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_AB"))
+        assert sorted(affected) == sorted(self.VALUES)
+        controller._appraisal = lambda request: self.assessment(
+            request.id, self.VALUES[request.id])
+        entries = controller.reconfigure(affected)
+        expected = self.DESCENDING if order is ReconfigOrder.DESCENDING_INDEX \
+            else self.ASCENDING
+        assert [entry.slice_id for entry in entries] == expected
 
 
 class TestSnapshot:

@@ -17,6 +17,7 @@ from tnsc import (
     normalize_falling,
     normalize_rising,
     rank,
+    rank_key,
 )
 from tnsc.errors import NonPositiveWeight, OutOfRange, UnknownDimension, ValidationError
 
@@ -210,6 +211,32 @@ class TestRank:
         assert isinstance(err.value, ValueError)
         assert err.value.element == "bounds"
         assert "'topology'" in err.value.message
+
+
+class TestRankKey:
+    def test_none_sorts_after_every_index(self):
+        values = {"a": None, "b": 0.0, "c": 0.7, "d": 1.0}
+        ordered = sorted(values, key=lambda i: rank_key(values[i], i))
+        assert ordered == ["d", "c", "b", "a"]
+
+    def test_ties_break_on_ascending_slice_id(self):
+        for descending in (True, False):
+            keys = [rank_key(0.5, slice_id, descending) for slice_id in "cab"]
+            assert [key[2] for key in sorted(keys)] == ["a", "b", "c"]
+        assert sorted([rank_key(None, "y"), rank_key(None, "x")]) == [
+            rank_key(None, "x"), rank_key(None, "y")]
+
+    def test_both_orders(self):
+        values = {"a": 0.2, "b": 0.9, "c": 0.5, "d": None}
+        for descending, expected in ((True, ["b", "c", "a", "d"]),
+                                     (False, ["a", "c", "b", "d"])):
+            ordered = sorted(values, key=lambda i: rank_key(values[i], i, descending))
+            assert ordered == expected
+
+    def test_zero_is_kept_apart_from_none(self):
+        for descending in (True, False):
+            assert rank_key(0.0, "z", descending) < rank_key(None, "a", descending)
+            assert rank_key(0.0, "a", descending) != rank_key(None, "a", descending)
 
 
 class TestAssess:

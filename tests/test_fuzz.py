@@ -26,6 +26,8 @@ REASONS = {name for name, value in vars(tnsc.errors).items()
 REPLACEMENTS = ([], {}, "x", "", True, None, 0, -1, 1.5, float("nan"),
                 float("inf"), float("-inf"), 10**400, 2**63, -10**30)
 
+MODES = ("link-disjoint", "node-disjoint", "srlg-disjoint")
+
 
 def _locations(value, prefix=()):
     """Path of every value inside a JSON document, the root included."""
@@ -75,6 +77,13 @@ def test_mutated_scenarios_fail_in_parse_or_run_to_the_end():
     assert ran > 0
 
 
+def assert_exit_zero_or_one(code: int, err: str, context: str) -> None:
+    assert code in (0, 1), context
+    if code == 1:
+        prefix, reason = err.split(": ")[:2]
+        assert prefix == "tnsc" and reason in REASONS, context
+
+
 def test_mutated_cli_inputs_exit_zero_or_one(tmp_path, capsys):
     rng = random.Random(1106)
     base = {"topology": TOPOLOGY, "requests": REQUESTS, "bounds": BOUNDS,
@@ -87,15 +96,35 @@ def test_mutated_cli_inputs_exit_zero_or_one(tmp_path, capsys):
             with open(files[name], "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
         argv = [rng.choice(("evaluate", "rank")), "--requests", files["requests"],
-                "--format", rng.choice(("json", "csv"))]
+                "--format", rng.choice(("json", "csv")), "--mode", rng.choice(MODES)]
         if target == "topology" or (target == "requests" and rng.random() < 0.5):
             argv += ["--bounds", files["derived"], "--topology", files["topology"]]
         else:
             argv += ["--bounds", files["bounds"], "--weights", files["weights"]]
         code = main(argv)
-        err = capsys.readouterr().err
         context = f"{argv[0]} with {target} = {payloads[target]!r}"
-        assert code in (0, 1), context
-        if code == 1:
-            prefix, reason = err.split(": ")[:2]
-            assert prefix == "tnsc" and reason in REASONS, context
+        assert_exit_zero_or_one(code, capsys.readouterr().err, context)
+
+
+def test_mutated_paths_and_simulate_exit_zero_or_one(tmp_path, capsys):
+    """``paths`` over a mutated or valid topology, with unknown and empty
+    endpoints, out-of-range k and every mode; ``simulate`` over mutated
+    scenario files."""
+    rng = random.Random(1107)
+    target = str(tmp_path / "input.json")
+    for _ in range(300):
+        if rng.random() < 0.5:
+            payload = mutate(rng, TOPOLOGY) if rng.random() < 0.6 else TOPOLOGY
+            argv = ["paths", "--topology", target,
+                    "--src", rng.choice(("A", "B", "Z", "")),
+                    "--dst", rng.choice(("C", "D", "A")),
+                    "--k", str(rng.choice((-1, 0, 1, 2, 3, 10**6))),
+                    "--mode", rng.choice(MODES)]
+        else:
+            payload = mutate(rng, SCENARIO)
+            argv = ["simulate", "--scenario", target, "--out", str(tmp_path / "out")]
+        with open(target, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        code = main(argv)
+        context = f"{argv} with {payload!r}"
+        assert_exit_zero_or_one(code, capsys.readouterr().err, context)

@@ -11,7 +11,6 @@ from tnsc import (
     DisjointnessMode,
     Path,
     ResourceLedger,
-    ResourceView,
     TraitBounds,
     bounds_from_dict,
     build_vector,
@@ -206,18 +205,19 @@ class TestPath:
 
 
 def fresh_view(topology, request, mode=DisjointnessMode.LINK_DISJOINT):
-    """The view of the network as built: an unrestricted search between the
-    request's endpoints over a fresh ledger's residuals."""
+    """The network as built, as ``derive_bounds`` arguments after the
+    request: an unrestricted search between the request's endpoints and a
+    fresh ledger's residual slots and ports."""
     ledger = ResourceLedger.from_topology(topology)
-    return ResourceView(DisjointSearch(topology, request.src, request.dst, mode),
-                        ledger.residual_slots, ledger.residual_ports)
+    return (DisjointSearch(topology, request.src, request.dst, mode),
+            ledger.residual_slots, ledger.residual_ports)
 
 
 class TestDeriveBounds:
     def test_four_cycle_reference_values(self, four_cycle):
         # Max-flow on the 4-cycle gives exactly 2 disjoint A-C paths.
         request = make_request()
-        bounds = derive_bounds(request, fresh_view(four_cycle, request))
+        bounds = derive_bounds(request, *fresh_view(four_cycle, request))
         assert bounds.topology == Bound(2, 2)
         assert bounds.device == Bound(1, 24)
         assert bounds.data_plane == Bound(1, 20)
@@ -227,7 +227,7 @@ class TestDeriveBounds:
         topology = make_topology("AB", [("L1", "A", "B")], [("A", 4)])
         request = make_request(src="A", dst="B")
         with pytest.raises(NoDevice) as err:
-            derive_bounds(request, fresh_view(topology, request))
+            derive_bounds(request, *fresh_view(topology, request))
         assert err.value.node == "B"
 
     def test_no_matching_ports(self):
@@ -238,14 +238,14 @@ class TestDeriveBounds:
         )
         request = make_request(src="A", dst="B")
         with pytest.raises(NoMatchingPorts):
-            derive_bounds(request, fresh_view(topology, request))
+            derive_bounds(request, *fresh_view(topology, request))
 
     def test_single_link_yields_unreachable_range(self):
         # One path only: h=1 < l=2 comes back as-is and the infeasibility
         # surfaces at normalization.
         topology = make_topology("AB", [("L1", "A", "B")], [("A", 24), ("B", 24)])
         request = make_request(src="A", dst="B")
-        bounds = derive_bounds(request, fresh_view(topology, request))
+        bounds = derive_bounds(request, *fresh_view(topology, request))
         assert bounds.topology == Bound(2, 1)
         with pytest.raises(OutOfRange) as err:
             build_vector(request, bounds)
@@ -253,8 +253,8 @@ class TestDeriveBounds:
 
     def test_node_mode_matches_link_mode_on_cycle(self, four_cycle):
         request = make_request()
-        bounds = derive_bounds(request, fresh_view(four_cycle, request,
-                                                   DisjointnessMode.NODE_DISJOINT))
+        bounds = derive_bounds(request, *fresh_view(four_cycle, request,
+                                                    DisjointnessMode.NODE_DISJOINT))
         assert bounds.topology == Bound(2, 2)
 
     def test_view_search_mode_governs(self):
@@ -269,13 +269,13 @@ class TestDeriveBounds:
         request = make_request()
         for mode, diversity in ((DisjointnessMode.LINK_DISJOINT, 2),
                                 (DisjointnessMode.NODE_DISJOINT, 1)):
-            bounds = derive_bounds(request, fresh_view(topology, request, mode))
+            bounds = derive_bounds(request, *fresh_view(topology, request, mode))
             assert bounds.topology == Bound(2, diversity)
 
     @pytest.mark.parametrize("mode", [DisjointnessMode.LINK_DISJOINT,
                                       DisjointnessMode.NODE_DISJOINT])
     def test_fresh_view_matches_nominal_oracle(self, mode):
-        # A view over a fresh ledger sees the network as built: the diversity
+        # A search over a fresh ledger sees the network as built: the diversity
         # max_disjoint_count finds, the smaller matching inventory and the
         # smallest slot pool, on 200 random graphs of 10-40 nodes.
         rng = random.Random(f"derive-bounds-{mode.value}")
@@ -296,7 +296,7 @@ class TestDeriveBounds:
             topology = validate_topology(raw)
             src, dst = rng.sample(raw["nodes"], 2)
             request = make_request(src=src, dst=dst)
-            bounds = derive_bounds(request, fresh_view(topology, request, mode))
+            bounds = derive_bounds(request, *fresh_view(topology, request, mode))
             assert bounds.topology == Bound(2, max_disjoint_count(topology, src, dst, mode))
             assert bounds.device == Bound(1, min(ports[src], ports[dst]))
             assert bounds.data_plane == Bound(

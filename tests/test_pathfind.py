@@ -121,6 +121,13 @@ class TestKDisjointPaths:
         with pytest.raises(ValueError):
             k_disjoint_paths(four_cycle, "A", "C", 0, LINK)
 
+    @pytest.mark.parametrize("mode", [LINK, NODE, SRLG])
+    def test_negative_k_is_a_validation_error(self, four_cycle, mode):
+        # A fresh search holds flow 0, which is more than k = -1.
+        with pytest.raises(ValidationError) as caught:
+            k_disjoint_paths(four_cycle, "A", "C", -1, mode)
+        assert caught.value.element == "k"
+
 
 class TestSrlgDisjoint:
     def srlg_theta(self, tags):
@@ -203,6 +210,25 @@ class TestMaxDisjointCount:
         )
         assert max_disjoint_count(topology, "A", "C", LINK) == 2
         assert max_disjoint_count(topology, "A", "C", SRLG) == 1
+
+    def test_srlg_count_builds_one_search(self, monkeypatch):
+        # The link-mode ceiling is counted on the search's own network.
+        topology = make_topology(
+            "ABCDE",
+            [("L_AB", "A", "B", {"srlgs": [1]}), ("L_BC", "B", "C", {"srlgs": [2]}),
+             ("L_AD", "A", "D", {"srlgs": [1]}), ("L_DC", "D", "C", {"srlgs": [3]}),
+             ("L_AE", "A", "E", {"srlgs": [4]}), ("L_EC", "E", "C", {"srlgs": [5]})],
+        )
+        built = []
+        original = DisjointSearch.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DisjointSearch, "__init__", counting)
+        assert max_disjoint_count(topology, "A", "C", SRLG) == 2
+        assert len(built) == 1
 
     def test_srlg_count_matches_probe_loop(self):
         """The SRLG count runs one bounded search for the link-mode ceiling.
