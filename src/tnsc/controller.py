@@ -154,6 +154,7 @@ class Controller:
         self.policy = policy
         self.control_context_limit = control_context_limit
         self.ledger = ResourceLedger.from_topology(topology)
+        self._links = frozenset(topology.link_by_id)
         self.records: dict[str, AllocationRecord] = {}
         self.requests: dict[str, SliceRequest] = {}
         self._last_seq: int | None = None
@@ -179,10 +180,12 @@ class Controller:
         return record
 
     def _usable_links(self, slots_needed: int) -> frozenset[str]:
-        return frozenset(
-            lid for lid, state in self.ledger.link_state.items()
-            if state == LINK_UP and self.ledger.residual_slots[lid] >= slots_needed
-        )
+        """Every link less the few that are down or short of slots."""
+        ledger = self.ledger
+        blocked = {lid for lid, left in ledger.residual_slots.items()
+                   if left < slots_needed}
+        blocked |= {lid for lid, state in ledger.link_state.items() if state != LINK_UP}
+        return self._links - blocked
 
     def _rejected(self, request: SliceRequest, error: TnscError) -> AllocationRecord:
         return AllocationRecord(
@@ -336,14 +339,13 @@ class Controller:
             return [event.slice_id]
         if event.kind is EventKind.LINK_DOWN:
             self.ledger.link_state[event.link_id] = LINK_DOWN
-            affected = []
-            for slice_id in sorted(self.records):
-                record = self.records[slice_id]
-                if record.state is AllocationState.ACTIVE and any(
-                    event.link_id in path.links for path in record.paths
-                ):
-                    self.records[slice_id] = replace(record, stale=True)
-                    affected.append(slice_id)
+            # An active record holds slots on exactly the links of its paths.
+            affected = sorted(
+                slice_id for slice_id, record in self.records.items()
+                if record.state is AllocationState.ACTIVE
+                and event.link_id in record.slots_per_link)
+            for slice_id in affected:
+                self.records[slice_id] = replace(self.records[slice_id], stale=True)
             return affected
         self.ledger.link_state[event.link_id] = LINK_UP
         return []

@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -395,7 +396,7 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
         _require(isinstance(node, str) and node in nodes, DanglingEndpoint, str(node))
         _require(node not in seen_device_nodes, DuplicateId, node)
         groups: list[PortGroup] = []
-        seen_kinds: set[tuple[str, float]] = set()
+        seen_kinds: set[tuple[str, str]] = set()  # as the snapshot names groups
         for port in _as_list(entry.get("ports", []), node, "ports"):
             port = _as_object(port, node, "port group")
             port_type = _as_name(port.get("type"), node, "port type")
@@ -404,8 +405,8 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
                                 "port gbps must be a finite number > 0")
             count = _as_int(port.get("count"), where, "port count")
             _require(count >= 1, InvalidCapacity, where, "port count must be >= 1")
-            kind = (port_type, gbps)
-            _require(kind not in seen_kinds, DuplicateId, f"{where}@{gbps:g}")
+            kind = (port_type, f"{gbps:g}")
+            _require(kind not in seen_kinds, DuplicateId, f"{where}@{kind[1]}")
             seen_kinds.add(kind)
             groups.append(PortGroup(port_type=port_type, gbps=gbps, count=count))
         seen_device_nodes.add(node)
@@ -550,11 +551,10 @@ def derive_bounds(request: SliceRequest, search: DisjointSearch,
     spec = request.client_ports
     ports = min(residual_ports.get((node, spec.port_type, spec.gbps), 0)
                 for node in (request.src, request.dst))
-    slot_pool = [residual_slots.get(link_id, 0) for link_id in search.usable]
+    slots = min(map(residual_slots.get, search.usable, repeat(0)), default=0)
     return TraitBounds(
         mode=BoundsMode.DERIVED,
         topology=Bound(DIMENSION_FLOORS["topology"], search.count()),
         device=Bound(DIMENSION_FLOORS["device"], ports),
-        data_plane=Bound(DIMENSION_FLOORS["data_plane"],
-                         min(slot_pool) if slot_pool else 0),
+        data_plane=Bound(DIMENSION_FLOORS["data_plane"], slots),
     )

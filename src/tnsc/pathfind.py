@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 
 from .errors import InsufficientDiversity, ValidationError
@@ -45,13 +45,15 @@ def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
 
 
 def _resolve_usable(topology: NetworkTopology,
-                    usable_links: frozenset[str] | set[str] | None) -> set[str]:
+                    usable_links: Iterable[str] | None) -> frozenset[str]:
+    """The usable links (all when None) as a frozenset, checked by one set difference."""
     if usable_links is None:
-        return {link.id for link in topology.links}
-    unknown = {link for link in usable_links if link not in topology.link_by_id}
+        return frozenset(topology.link_by_id)
+    usable = frozenset(usable_links)
+    unknown = usable - topology.link_by_id.keys()
     if unknown:
         raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
-    return set(usable_links)
+    return usable
 
 
 class _Network:
@@ -60,7 +62,7 @@ class _Network:
     makes it an ingress 2i and an egress 2i+1 joined by a unit-capacity
     internal arc at position i, so arc-disjointness in the split graph is
     node-disjointness in the original. Each link's a->b and b->a arcs follow
-    in link id order; ``link_arcs`` pairs each link with the first. Arc e is
+    in link id order; ``link_arcs`` maps each link id to the first. Arc e is
     (tail, head, cost, e); it carries flow while its residual entry is the
     reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs.
     ``starts`` memoizes per destination minus each node's hop distance to it
@@ -73,13 +75,13 @@ class _Network:
         self.index = index = {node: i for i, node in enumerate(self.names)}
         arcs = [(2 * i, 2 * i + 1, 0, i) for i in range(len(index))] if split else []
         links: list[str | None] = [None] * len(arcs)
-        self.link_arcs: list[tuple[str, int]] = []
+        self.link_arcs: dict[str, int] = {}
         for link in sorted(topology.links, key=lambda l: l.id):
             a, b = width * index[link.a], width * index[link.b]
             e = len(arcs)
             arcs += [(a + width - 1, b, 1, e), (b + width - 1, a, 1, e + 1)]
             links += [link.id, link.id]
-            self.link_arcs.append((link.id, e))
+            self.link_arcs[link.id] = e
         outgoing: list[list[int]] = [[] for _ in range(width * len(index))]
         for tail, _, _, e in arcs:
             outgoing[tail].append(e)
@@ -177,6 +179,7 @@ class DisjointSearch:
     order. The flow is no longer min-cost after ``count()``, so ``paths()``
     refuses to run after it. SRLG mode runs the bounded search for each
     call, and counts its link-mode ceiling on its own network from flow 0.
+    ``usable`` is a frozenset, and masking touches only the links it excludes.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
@@ -198,10 +201,10 @@ class DisjointSearch:
     def _copy_network(self, split: bool) -> None:
         # The network is built once per topology object and split flag, keyed
         # by id because hashing a topology costs more than building it, and
-        # dropped with the topology. Each search copies it and masks each
-        # unusable link's arcs and, when split, the endpoints' internal arcs,
-        # which every path shares: a masked arc is None and leaves its tail's
-        # list. The rest keep their positions and so their relative order.
+        # dropped with the topology. Each search copies it and masks the arcs
+        # of the links it excludes and, when split, the endpoints' internal
+        # arcs, which every path shares: a masked arc is None and leaves its
+        # tail's list. The rest keep their positions and relative order.
         key = (id(self.topology), split)
         if key not in _NETWORKS:
             _NETWORKS[key] = _Network(self.topology, split)
@@ -210,8 +213,9 @@ class DisjointSearch:
         residual: list[tuple[int, int, int, int] | None] = list(network.arcs)
         outgoing = list(map(list, network.outgoing))
         src, dst = network.index[self.src], network.index[self.dst]
-        masked = [e for link, first in network.link_arcs if link not in self.usable
-                  for e in (first, first + 1)]
+        first = network.link_arcs
+        masked = [e for link in first.keys() - self.usable
+                  for e in (first[link], first[link] + 1)]
         for e in masked + ([src, dst] if network.width == 2 else []):
             outgoing[residual[e][0]].remove(e)
             residual[e] = None
@@ -368,9 +372,11 @@ def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
     for path in paths:
         if len(set(path.nodes)) != len(path.nodes):
             return False
-        for i, (a, b) in enumerate(zip(path.nodes, path.nodes[1:])):
-            link = topology.link_between(a, b)
-            if link is None or link.id != path.links[i]:
+        # Links are never parallel: a hop is valid if its link joins its nodes.
+        for a, b, link_id in zip(path.nodes, path.nodes[1:], path.links):
+            link = topology.link_by_id.get(link_id)
+            if link is None or not (link.a == a and link.b == b
+                                    or link.a == b and link.b == a):
                 return False
     if len({(path.nodes[0], path.nodes[-1]) for path in paths}) > 1:
         return False
@@ -431,7 +437,7 @@ def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
 
 
 def _srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
-                   usable: set[str], budget_limit: int) -> list[Path]:
+                   usable: frozenset[str], budget_limit: int) -> list[Path]:
     """Backtracking over path choices: each level excludes the links and
     risk groups claimed so far. First full set found wins, so the result is
     deterministic but not necessarily hop-minimal."""

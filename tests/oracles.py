@@ -10,7 +10,9 @@ unchanged but for skipping the masked (None) arcs of a search's residual
 network.
 The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
 writer are the versions the library's integer merge and type-dispatched
-writer replaced, moved here unchanged.
+writer replaced, moved here unchanged. So are ``reference_verify_disjoint``,
+which checks each hop with ``link_between``, and the controller's per-link
+usable-link filter and per-path stale-slice scan.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tnsc import DisjointnessMode, NetworkTopology, Path, validate_topology
+from tnsc import AllocationState, DisjointnessMode, NetworkTopology, Path, validate_topology
+from tnsc.controller import LINK_UP
 from tnsc.errors import InsufficientDiversity, NonPositiveWeight
 from tnsc.model import DIMENSIONS
 
@@ -270,6 +273,61 @@ def reference_residual_shortest(residual: list[tuple[int, int, int, int] | None]
     return None if dist[sink] == math.inf else pred
 
 
+def reference_verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
+                              mode: DisjointnessMode) -> bool:
+    """``tnsc.verify_disjoint`` finding each hop's link by ``link_between``."""
+    if not paths:
+        return False
+    for path in paths:
+        if len(set(path.nodes)) != len(path.nodes):
+            return False
+        for i, (a, b) in enumerate(zip(path.nodes, path.nodes[1:])):
+            link = topology.link_between(a, b)
+            if link is None or link.id != path.links[i]:
+                return False
+    if len({(path.nodes[0], path.nodes[-1]) for path in paths}) > 1:
+        return False
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            if set(paths[i].links) & set(paths[j].links):
+                return False
+            if mode is DisjointnessMode.NODE_DISJOINT:
+                if set(paths[i].nodes[1:-1]) & set(paths[j].nodes[1:-1]):
+                    return False
+            if mode is DisjointnessMode.SRLG_DISJOINT:
+                tags_i = _link_srlgs(topology, paths[i].links)
+                tags_j = _link_srlgs(topology, paths[j].links)
+                if tags_i & tags_j:
+                    return False
+    return True
+
+
+def _link_srlgs(topology: NetworkTopology, links) -> frozenset[int]:
+    return frozenset().union(*(topology.link_by_id[link].srlgs for link in links))
+
+
+def reference_usable_links(ledger, slots_needed: int) -> frozenset[str]:
+    """The up links of ``ledger`` with at least ``slots_needed`` slots left,
+    one link at a time."""
+    return frozenset(
+        lid for lid, state in ledger.link_state.items()
+        if state == LINK_UP and ledger.residual_slots[lid] >= slots_needed
+    )
+
+
+def reference_stale_scan(records: Mapping, link_id: str) -> list[str]:
+    """Sorted ids of the active records with a path over ``link_id``,
+    walking every record's paths."""
+    affected = []
+    for slice_id in sorted(records):
+        record = records[slice_id]
+        if record.state is AllocationState.ACTIVE and any(
+            link_id in path.links for path in record.paths
+        ):
+            affected.append(slice_id)
+    return affected
+
+
 def falling_fraction(r: int, l: int, h: int) -> Fraction:
     if l == h:
         return Fraction(1)
@@ -391,14 +449,14 @@ def random_connected_topology(rng, max_nodes=8, srlg_pool=0):
     return tnsc.validate_topology({"nodes": names, "links": links, "devices": []})
 
 
-def random_graph_dict(rng, min_nodes=6, max_nodes=400):
+def random_graph_dict(rng, min_nodes=6, max_nodes=400, family=None):
     """A connected topology as a raw dict with no devices: a grid, a ring
-    with chords or a random spanning tree with chords, sized log-uniformly
-    (grids may come out a little smaller). Node and link names carry
-    unpadded shuffled numbers, so their sorted order is unrelated to the
-    shape."""
+    with chords or a random spanning tree with chords (``family`` "grid",
+    "ring" or "sparse", drawn when None), sized log-uniformly (grids may
+    come out a little smaller). Node and link names carry unpadded shuffled
+    numbers, so their sorted order is unrelated to the shape."""
     target = round(math.exp(rng.uniform(math.log(min_nodes), math.log(max_nodes))))
-    family = rng.choice(("grid", "ring", "sparse"))
+    family = family or rng.choice(("grid", "ring", "sparse"))
     if family == "grid":
         rows = rng.randint(2, max(2, math.isqrt(target)))
         cols = max(3, target // rows)

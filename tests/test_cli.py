@@ -360,3 +360,13 @@ def test_malformed_input_exits_one(target, path, value, reason, inputs, tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"tnsc: {reason}: ")
     assert "internal error" not in err
+
+
+def test_simulate_port_groups_named_alike_exit_one(tmp_path, capsys):
+    ports = [{"type": "GE", "gbps": 100.0, "count": 1},
+             {"type": "GE", "gbps": 100.0000001, "count": 5}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json_text(mutated(SCENARIO, ("topology", "devices", 0, "ports"), ports)))
+    node = SCENARIO["topology"]["devices"][0]["node"]
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == f"tnsc: DuplicateId: duplicate identifier: '{node}:GE@100'\n"

@@ -1,0 +1,177 @@
+"""Differential check of the controller's per-decision set algebra against
+the per-link definitions it replaced (``tests.oracles.reference_usable_links``
+and ``tests.oracles.reference_stale_scan``).
+
+Each seeded scenario plays through ``run_scenario``. Its topology has 50 to
+400 nodes, from ``random_graph_dict`` or a ring with chords, with a few
+slots per link; it runs in link or node mode, under static or derived
+bounds, through arrivals, releases and link flaps. After every event, and
+after the reconfiguration a link failure starts, the controller's usable
+links for every slot count a request may ask for, and for 0, must equal the
+reference's. A link failure must return, and mark stale, exactly the
+slices the reference scan finds, in the same order.
+
+The tier-1 test runs the first scenarios of the seeded stream. The full run
+prints its case count and a sha256 over the bytes of every report:
+
+    PYTHONPATH=src python -m tests.test_controller_differential --graphs 400
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+from unittest import mock
+
+from tnsc import Controller, EventKind, report_to_json, run_scenario, scenario
+from tnsc.scenario import scenario_from_dict
+
+from .oracles import random_graph_dict, reference_stale_scan, reference_usable_links
+
+SEED = 9009
+TIER1_GRAPHS = 12
+EVENTS = 60
+MOST_SLOTS = 3  # requests ask for 1 to MOST_SLOTS calendar slots
+STATIC_BOUNDS = {"mode": "static", "topology": {"l": 2, "h": 4},
+                 "device": {"l": 1, "h": 24}, "data_plane": {"l": 1, "h": 6}}
+
+
+def random_scenario(rng: random.Random) -> dict:
+    """A scenario whose slices are long-lived enough for each failure to
+    move some, on links short enough of slots to turn some requests away."""
+    family = rng.choice((None, "ring"))
+    topology = random_graph_dict(rng, min_nodes=50, max_nodes=400, family=family)
+    for link in topology["links"]:
+        link["slot_capacity"] = rng.randint(2, 8)
+    topology["devices"] = [
+        {"node": node, "ports": [{"type": "10GE", "gbps": 10, "count": rng.randint(4, 24)}]}
+        for node in topology["nodes"] if rng.random() < 0.98]
+    link_ids = [link["id"] for link in topology["links"]]
+    at_node: dict[str, list[str]] = {}
+    for link in topology["links"]:
+        for end in (link["a"], link["b"]):
+            at_node.setdefault(end, []).append(link["id"])
+    arrived: list[str] = []
+    endpoints: list[tuple[str, str]] = []
+    down: set[str] = set()
+    events = []
+    for seq in range(1, EVENTS + 1):
+        roll = rng.random()
+        if roll < 0.55 or not arrived:
+            rid = f"TS_{seq}"
+            arrived.append(rid)
+            src, dst = rng.sample(topology["nodes"], 2)
+            endpoints.append((src, dst))
+            events.append({"seq": seq, "type": "request_arrival", "request": {
+                "id": rid, "src": src, "dst": dst, "control": rng.random() < 0.5,
+                "disjoint_paths": rng.randint(2, 3),
+                "client_ports": {"type": "10GE", "gbps": 10, "count": rng.randint(1, 6)},
+                "calendar_slots": rng.randint(1, MOST_SLOTS)}})
+        elif roll < 0.65:
+            events.append({"seq": seq, "type": "request_release",
+                           "slice": rng.choice(arrived)})
+        elif roll < 0.8 or not down:
+            # Half the failures hit a link at an arrival's endpoint, where
+            # that slice, if admitted, uses k of the links.
+            if rng.random() < 0.5:
+                link = rng.choice(at_node[rng.choice(rng.choice(endpoints))])
+            else:
+                link = rng.choice(link_ids)
+            down.add(link)
+            events.append({"seq": seq, "type": "link_down", "link": link})
+        else:
+            link = rng.choice(sorted(down))
+            down.discard(link)
+            events.append({"seq": seq, "type": "link_up", "link": link})
+    return {"topology": topology,
+            "mode": rng.choice(("link_disjoint", "node_disjoint")),
+            "bounds": rng.choice((STATIC_BOUNDS, {"mode": "derived"})),
+            "policy": {"order": rng.choice(("descending_index", "ascending_index")),
+                       "on_failure": rng.choice(("mark_degraded", "drop"))},
+            "events": events}
+
+
+class _Checked(Controller):
+    """A controller that records, after each event and each
+    reconfiguration, (label, outcome, reference outcome) in ``checks``."""
+
+    def __init__(self, checks: list, label: tuple, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks, self.label, self.seq = checks, label, None
+
+    def _check_usable(self, phase: str) -> None:
+        for slots in range(MOST_SLOTS + 1):
+            self.checks.append((self.label + (self.seq, phase, slots),
+                                self._usable_links(slots),
+                                reference_usable_links(self.ledger, slots)))
+
+    def apply_event(self, event):
+        self.seq = event.seq
+        expected = None
+        if event.kind is EventKind.LINK_DOWN:
+            expected = reference_stale_scan(self.records, event.link_id)
+        try:
+            affected = super().apply_event(event)
+        finally:
+            self._check_usable("event")
+        if expected is not None:
+            stale = [slice_id for slice_id in sorted(self.records)
+                     if self.records[slice_id].stale]
+            self.checks.append((self.label + (self.seq, "stale"),
+                                (affected, stale), (expected, expected)))
+        return affected
+
+    def reconfigure(self, affected):
+        entries = super().reconfigure(affected)
+        self._check_usable("reconfigure")
+        return entries
+
+
+def scenario_runs(seed: int, graphs: int):
+    """Yield (checks, report bytes) for each seeded scenario played through
+    ``run_scenario`` on a checking controller."""
+    rng = random.Random(seed)
+    for number in range(graphs):
+        played = scenario_from_dict(random_scenario(rng))
+        label = (number, len(played.topology.nodes), played.mode.value,
+                 played.bounds.mode.value)
+        checks: list = []
+        with mock.patch.object(scenario, "Controller",
+                               lambda *args: _Checked(checks, label, *args)):
+            report = report_to_json(run_scenario(played))
+        yield checks, report.encode()
+
+
+def test_controller_matches_reference():
+    cases = stale = 0
+    for checks, _report in scenario_runs(SEED, TIER1_GRAPHS):
+        for label, outcome, expected in checks:
+            assert outcome == expected, label
+            cases += 1
+            stale += label[-1] == "stale" and bool(expected[0])
+    assert cases > 4 * EVENTS * TIER1_GRAPHS
+    assert stale > TIER1_GRAPHS
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--graphs", type=int, default=400)
+    parser.add_argument("--seed", type=int, default=SEED)
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    cases = mismatches = 0
+    for checks, report in scenario_runs(args.seed, args.graphs):
+        for label, outcome, expected in checks:
+            cases += 1
+            if outcome != expected:
+                mismatches += 1
+                print("mismatch", label)
+        digest.update(report)
+    print(f"graphs={args.graphs} seed={args.seed} cases={cases} "
+          f"mismatches={mismatches} sha256={digest.hexdigest()}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -134,6 +134,23 @@ class TestValidateTopology:
         with pytest.raises(DuplicateId):
             validate_topology(raw)
 
+    def test_port_groups_named_alike_rejected(self):
+        # 100 and 100.0000001 differ as floats but both read GE@100, so the
+        # snapshot would fold the second group into the first.
+        raw = {
+            "nodes": ["A"],
+            "devices": [{
+                "node": "A",
+                "ports": [
+                    {"type": "GE", "gbps": 100.0, "count": 1},
+                    {"type": "GE", "gbps": 100.0000001, "count": 5},
+                ],
+            }],
+        }
+        with pytest.raises(DuplicateId) as err:
+            validate_topology(raw)
+        assert err.value.element == "A:GE@100"
+
     def test_negative_srlg_tag(self):
         raw = {
             "nodes": ["A", "B"],

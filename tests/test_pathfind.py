@@ -32,6 +32,7 @@ from .oracles import (
     min_total_hops,
     random_connected_topology,
     random_graph_dict,
+    reference_verify_disjoint,
 )
 
 LINK = DisjointnessMode.LINK_DISJOINT
@@ -652,3 +653,98 @@ class TestMetamorphic:
             topology = validate_topology(raw)
             assert (max_disjoint_count(topology, src, dst, LINK)
                     >= max_disjoint_count(topology, src, dst, NODE))
+
+
+def _mutations(topology, paths, rng, foreign):
+    """Broken variants of the path set ``paths``, each a valid ``Path``
+    list: a hop relabelled with a neighbouring link, a skipped node, a hop
+    to a node off the path's links, one path reversed, and a path swapped
+    for ``foreign``, a path between other endpoints."""
+    which = rng.randrange(len(paths))
+    path = paths[which]
+    nodes, links = list(path.nodes), list(path.links)
+    variants = []
+    hop = rng.randrange(len(links))
+    neighbours = [link_id for node in nodes[hop:hop + 2]
+                  for _, link_id in topology.adjacency[node] if link_id != links[hop]]
+    if neighbours:
+        variants.append((nodes, links[:hop] + [rng.choice(neighbours)] + links[hop + 1:]))
+    if len(nodes) > 2:
+        cut = rng.randrange(1, len(nodes) - 1)
+        variants.append((nodes[:cut] + nodes[cut + 1:], links[:cut - 1] + links[cut:]))
+        off = rng.choice(sorted(topology.nodes - set(nodes)))
+        variants.append((nodes[:cut] + [off] + nodes[cut + 1:], links))
+    variants.append((nodes[::-1], links[::-1]))
+    mutated = [[*paths[:which], Path(tuple(n), tuple(l)), *paths[which + 1:]]
+               for n, l in variants]
+    return mutated + [[*paths[:which], foreign, *paths[which + 1:]]]
+
+
+class TestVerifyDisjointReference:
+    """``verify_disjoint`` looks each hop's link up by id; the reference
+    finds it by its endpoints. They must agree on every set."""
+
+    def test_matches_reference_on_found_and_broken_sets(self):
+        rng = random.Random(7301)
+        cases = rejected = 0
+        for _ in range(24):
+            raw = random_graph_dict(rng, min_nodes=50, max_nodes=400)
+            for link in raw["links"]:
+                link["srlgs"] = sorted({rng.randrange(80) for _ in range(rng.randint(0, 2))})
+            topology = validate_topology(raw)
+            sets = []
+            for mode in (LINK, NODE):
+                for _ in range(2):
+                    src, dst = rng.sample(sorted(topology.nodes), 2)
+                    search = DisjointSearch(topology, src, dst, mode)
+                    k = _paths_or_found(search, 3)
+                    sets.append(k if isinstance(k, list) else search.paths(max(k, 1)))
+            for paths in sets:
+                foreign = rng.choice([p for other in sets if other is not paths
+                                      for p in other])
+                for candidate in [paths, paths + paths[:1], *_mutations(
+                        topology, paths, rng, foreign)]:
+                    for mode in (LINK, NODE, SRLG):
+                        expected = reference_verify_disjoint(topology, candidate, mode)
+                        assert verify_disjoint(topology, candidate, mode) == expected
+                        cases += 1
+                        rejected += not expected
+        assert cases > 1000 and 0 < rejected < cases
+
+
+class TestUsableLinksTypes:
+    """``usable_links`` may be any iterable of link ids: the search sees
+    the same set whatever its container."""
+
+    CONTAINERS = (list, tuple, set, frozenset)
+
+    @pytest.mark.parametrize("mode", [LINK, NODE, SRLG])
+    def test_containers_give_identical_results(self, mode):
+        rng = random.Random(7401)
+        for _ in range(20):
+            topology = (random_connected_topology(rng, max_nodes=9, srlg_pool=4)
+                        if mode is SRLG else
+                        validate_topology(random_graph_dict(rng, max_nodes=60)))
+            src, dst = rng.sample(sorted(topology.nodes), 2)
+            ids = [link.id for link in topology.links if rng.random() < 0.8]
+            rng.shuffle(ids)
+            outcomes = []
+            for container in self.CONTAINERS:
+                usable = container(ids + ids[:2])  # repeats are harmless
+                try:
+                    paths = k_disjoint_paths(topology, src, dst, 2, mode,
+                                             usable_links=usable)
+                except InsufficientDiversity as err:
+                    paths = err.detail()
+                outcomes.append((paths, max_disjoint_count(topology, src, dst, mode,
+                                                           usable_links=usable)))
+            assert outcomes == [outcomes[0]] * len(self.CONTAINERS)
+
+    def test_unknown_ids_raise_the_same_error(self, four_cycle):
+        messages = set()
+        for container in self.CONTAINERS:
+            with pytest.raises(ValidationError) as caught:
+                k_disjoint_paths(four_cycle, "A", "C", 2, LINK,
+                                 usable_links=container(["L_ZZ", "L_AB", "L_XY", "L_ZZ"]))
+            messages.add((caught.value.element, caught.value.message))
+        assert messages == {("usable_links", "unknown links ['L_XY', 'L_ZZ']")}

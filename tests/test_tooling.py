@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
-DIFFERENTIALS = ("test_engine_differential", "test_merge_differential",
-                 "test_shortest_differential")
+DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
+                 "test_merge_differential", "test_shortest_differential")
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 
 
