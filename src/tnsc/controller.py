@@ -258,20 +258,15 @@ class Controller:
     def _diversity_reason(self, request: SliceRequest, search: DisjointSearch,
                           err: InsufficientDiversity) -> TnscError:
         """Blame slots when the up network alone would have been diverse
-        enough; otherwise the shortage is structural. In link and node
-        modes k paths exist exactly when the maximum flow is at least k, so
-        the up network's count answers without a second path search; the
-        budget-bounded SRLG count is not equivalent, so that mode searches."""
+        enough; otherwise the shortage is structural. In every mode
+        ``paths(k)`` succeeds exactly when ``count()`` is at least k: in link
+        and node modes k paths exist exactly when the maximum flow is at
+        least k, and in SRLG mode the count walks on past the first set of
+        k paths a fresh ``paths(k)`` would meet, on the same budget."""
         up_only = self._usable_links(0)
         if up_only == search.usable:
             return err
-        up = self._search(request, up_only)
-        if self.mode is DisjointnessMode.SRLG_DISJOINT:
-            try:
-                up.paths(request.disjoint_paths)
-            except InsufficientDiversity:
-                return err
-        elif up.count() < request.disjoint_paths:
+        if self._search(request, up_only).count() < request.disjoint_paths:
             return err
         return SlotExhausted(request.calendar_slots)
 

@@ -12,8 +12,8 @@ starting at minus the hop distance to the destination; ties break the same.
 That is optimal and immune to the trap topologies that defeat greedy
 removal. The maximum diversity comes from breadth-first max-flow
 augmentation resumed from the same flow on the same arcs. Risk-group
-disjointness is NP-hard in general, so that mode runs a budget-bounded
-backtracking search and reports budget exhaustion explicitly.
+disjointness is NP-complete, so that mode walks one budget-bounded depth-first
+tree per search, resumed by each call, and reports budget exhaustion.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from functools import cached_property
 
 from .errors import InsufficientDiversity, ValidationError
 from .model import NetworkTopology, Path
@@ -177,8 +178,9 @@ class DisjointSearch:
     resumes from that flow with breadth-first augmenting paths until none is
     left, since a maximum flow's value does not depend on the augmenting
     order. The flow is no longer min-cost after ``count()``, so ``paths()``
-    refuses to run after it. SRLG mode runs the bounded search for each
-    call, and counts its link-mode ceiling on its own network from flow 0.
+    refuses to run after it. In SRLG mode ``count()`` takes the link-mode
+    ceiling from flow 0, and both calls resume one depth-first walk of at
+    most ``srlg_budget`` heap pops, whose first set of each size wins.
     ``usable`` is a frozenset, and masking touches only the links it excludes.
     """
 
@@ -297,8 +299,10 @@ class DisjointSearch:
         if self._counted or self._flow > k:
             raise RuntimeError("paths() after count() or a larger paths()")
         if self.mode is DisjointnessMode.SRLG_DISJOINT:
-            paths = _srlg_disjoint(self.topology, self.src, self.dst, k,
-                                   self.usable, self.srlg_budget)
+            found = self._walk_to(k)
+            if found < k:
+                raise InsufficientDiversity(k, found, self._spent > self.srlg_budget)
+            paths = list(self._sets[k])
         elif self._augment_to(k, self._shortest) < k:
             raise InsufficientDiversity(requested=k, found=self._flow)
         else:
@@ -316,15 +320,55 @@ class DisjointSearch:
         ceiling = self._augment_to(math.inf, self._breadth_first)
         if self.mode is not DisjointnessMode.SRLG_DISJOINT:
             return ceiling
-        # Every probe k <= ceiling walks the same depth-first tree in the
-        # same order and stops where it first holds k paths, so one search
-        # for the ceiling finds as deep a set as any probe would.
-        try:
-            _srlg_disjoint(self.topology, self.src, self.dst, ceiling,
-                           self.usable, self.srlg_budget)
-        except InsufficientDiversity as err:
-            return err.found
-        return ceiling
+        # A fresh walk for any k takes the same steps on the same budget up to
+        # its first set of k paths, so the walk finds as deep a set as a probe.
+        return self._walk_to(ceiling)
+
+    @cached_property
+    def _walk(self) -> Iterator[list[Path]]:
+        """The SRLG walk, started on first use; ``_spent`` counts its heap
+        pops and ``_sets[n]`` is the first set of n paths it met."""
+        self._spent, self._sets = 0, []
+        return self._extend([], frozenset(), frozenset())
+
+    def _walk_to(self, k: int) -> int:
+        """Walk on until it meets a set of k paths or ends; the largest size met."""
+        walk, sets = self._walk, self._sets
+        while len(sets) <= k and (chosen := next(walk, None)) is not None:
+            if len(chosen) == len(sets):  # preorder meets sizes in turn
+                sets.append(chosen)
+        return len(sets) - 1
+
+    def _extend(self, chosen: list[Path], used_links: frozenset[str],
+                used_srlgs: frozenset[int]) -> Iterator[list[Path]]:
+        """Yield ``chosen``, then in preorder each set it extends to by a path
+        over usable links that share no link or risk group with it."""
+        yield chosen
+        allowed = {link for link in self.usable - used_links
+                   if not self.topology.link_by_id[link].srlgs & used_srlgs}
+        for path in self._simple_paths(allowed):
+            yield from self._extend(chosen + [path], used_links | set(path.links),
+                                    used_srlgs | _srlg_tags(self.topology, path))
+
+    def _simple_paths(self, allowed: set[str]) -> Iterator[Path]:
+        """Yield the simple paths over ``allowed`` links in (hop count, node
+        sequence) order, on the shared arcs that ``count()`` leaves alone:
+        each heap pop spends a unit of ``srlg_budget``; none follows it."""
+        network = self._network
+        arcs, links, names = network.arcs, network.links, network.names
+        heap = [(0, (self._source,), ())]  # index order is sorted-name order
+        while heap:
+            self._spent += 1
+            if self._spent > self.srlg_budget:
+                return
+            hops, nodes, path_links = heapq.heappop(heap)
+            if nodes[-1] == self._sink:
+                yield Path(nodes=tuple(names[v] for v in nodes), links=path_links)
+                continue
+            for e in network.outgoing[nodes[-1]]:
+                head = arcs[e][1]
+                if links[e] in allowed and head not in nodes:
+                    heapq.heappush(heap, (hops + 1, nodes + (head,), path_links + (links[e],)))
 
 
 def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
@@ -335,10 +379,11 @@ def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
     """Compute k pairwise-disjoint simple paths between src and dst.
 
     Link and node modes minimize the total hop count over all valid sets
-    and report the true maximum diversity on failure. SRLG mode is a bounded
-    search: InsufficientDiversity with ``budget_exhausted`` set means the
-    search gave up, not that no set exists. The returned list is sorted by
-    (hop count, node sequence) and is deterministic for identical inputs.
+    and report the true maximum diversity on failure. SRLG mode is a
+    depth-first walk of at most ``srlg_budget`` heap pops: InsufficientDiversity
+    with ``budget_exhausted`` set means the walk gave up, not that no set
+    exists. The returned list is sorted by (hop count, node sequence) and is
+    deterministic for identical inputs.
     """
     return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
                           srlg_budget=srlg_budget).paths(k)
@@ -352,8 +397,8 @@ def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
     """Largest k for which k disjoint paths exist (0 when unreachable).
 
     Link and node modes are exact via max flow with unit capacities; SRLG
-    mode runs the bounded search for the link-mode count and is
-    conservative when the budget runs out.
+    mode walks on until it meets a set as large as the link-mode count, and
+    is conservative when its ``srlg_budget`` heap pops run out.
     """
     return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
                           srlg_budget=srlg_budget).count()
@@ -398,78 +443,3 @@ def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
 def _srlg_tags(topology: NetworkTopology, path: Path) -> frozenset[int]:
     return frozenset().union(*(topology.link_by_id[link].srlgs
                                for link in path.links))
-
-
-# ---------------------------------------------------------------------------
-# SRLG-constrained search
-# ---------------------------------------------------------------------------
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise _BudgetExhausted()
-        self.remaining -= 1
-
-
-def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
-                          allowed: set[str], budget: _Budget) -> Iterator[Path]:
-    """Yield simple paths in (hop count, node sequence) order. Every heap
-    expansion spends one unit of the shared search budget."""
-    heap: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
-    while heap:
-        budget.spend()
-        hops, nodes = heapq.heappop(heap)
-        last = nodes[-1]
-        if last == dst:
-            yield Path.through(topology, nodes)
-            continue
-        for neighbor, link_id in topology.adjacency[last]:
-            if link_id in allowed and neighbor not in nodes:
-                heapq.heappush(heap, (hops + 1, nodes + (neighbor,)))
-
-
-def _srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
-                   usable: frozenset[str], budget_limit: int) -> list[Path]:
-    """Backtracking over path choices: each level excludes the links and
-    risk groups claimed so far. First full set found wins, so the result is
-    deterministic but not necessarily hop-minimal."""
-    budget = _Budget(budget_limit)
-    deepest = 0
-
-    def search(chosen: list[Path], used_links: frozenset[str],
-               used_srlgs: frozenset[int]) -> list[Path] | None:
-        nonlocal deepest
-        deepest = max(deepest, len(chosen))
-        if len(chosen) == k:
-            return chosen
-        allowed = {
-            link_id for link_id in usable
-            if link_id not in used_links
-            and not (topology.link_by_id[link_id].srlgs & used_srlgs)
-        }
-        for path in _ordered_simple_paths(topology, src, dst, allowed, budget):
-            result = search(
-                chosen + [path],
-                used_links | set(path.links),
-                used_srlgs | _srlg_tags(topology, path),
-            )
-            if result is not None:
-                return result
-        return None
-
-    try:
-        result = search([], frozenset(), frozenset())
-    except _BudgetExhausted:
-        raise InsufficientDiversity(requested=k, found=deepest,
-                                    budget_exhausted=True) from None
-    if result is None:
-        raise InsufficientDiversity(requested=k, found=deepest)
-    return list(result)

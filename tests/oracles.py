@@ -12,15 +12,19 @@ The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
 writer are the versions the library's integer merge and type-dispatched
 writer replaced, moved here unchanged. So are ``reference_verify_disjoint``,
 which checks each hop with ``link_between``, and the controller's per-link
-usable-link filter and per-path stale-slice scan.
+usable-link filter and per-path stale-slice scan. ``reference_srlg_disjoint``
+is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
+replaced: a backtracking search over name-keyed adjacency, started afresh
+with a fresh budget for every call.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,6 +308,76 @@ def reference_verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
 
 def _link_srlgs(topology: NetworkTopology, links) -> frozenset[int]:
     return frozenset().union(*(topology.link_by_id[link].srlgs for link in links))
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+class _Budget:
+    def __init__(self, limit: int):
+        self.remaining = limit
+
+    def spend(self) -> None:
+        if self.remaining <= 0:
+            raise _BudgetExhausted()
+        self.remaining -= 1
+
+
+def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
+                          allowed: set[str], budget: _Budget) -> Iterator[Path]:
+    """Yield simple paths in (hop count, node sequence) order. Every heap
+    expansion spends one unit of the shared search budget."""
+    heap: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
+    while heap:
+        budget.spend()
+        hops, nodes = heapq.heappop(heap)
+        last = nodes[-1]
+        if last == dst:
+            yield Path.through(topology, nodes)
+            continue
+        for neighbor, link_id in topology.adjacency[last]:
+            if link_id in allowed and neighbor not in nodes:
+                heapq.heappush(heap, (hops + 1, nodes + (neighbor,)))
+
+
+def reference_srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
+                            usable: frozenset[str], budget_limit: int) -> list[Path]:
+    """Backtracking over path choices: each level excludes the links and
+    risk groups claimed so far. First full set found wins, so the result is
+    deterministic but not necessarily hop-minimal."""
+    budget = _Budget(budget_limit)
+    deepest = 0
+
+    def search(chosen: list[Path], used_links: frozenset[str],
+               used_srlgs: frozenset[int]) -> list[Path] | None:
+        nonlocal deepest
+        deepest = max(deepest, len(chosen))
+        if len(chosen) == k:
+            return chosen
+        allowed = {
+            link_id for link_id in usable
+            if link_id not in used_links
+            and not (topology.link_by_id[link_id].srlgs & used_srlgs)
+        }
+        for path in _ordered_simple_paths(topology, src, dst, allowed, budget):
+            result = search(
+                chosen + [path],
+                used_links | set(path.links),
+                used_srlgs | _link_srlgs(topology, path.links),
+            )
+            if result is not None:
+                return result
+        return None
+
+    try:
+        result = search([], frozenset(), frozenset())
+    except _BudgetExhausted:
+        raise InsufficientDiversity(requested=k, found=deepest,
+                                    budget_exhausted=True) from None
+    if result is None:
+        raise InsufficientDiversity(requested=k, found=deepest)
+    return list(result)
 
 
 def reference_usable_links(ledger, slots_needed: int) -> frozenset[str]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,19 +18,24 @@ from tnsc import (
 )
 from tnsc.errors import (
     AlreadyReleased,
+    InsufficientDiversity,
     StaleSequence,
     UnknownLink,
     UnknownSlice,
 )
 
-from tnsc import bounds_from_dict, pathfind, rank, rank_rows
+from tnsc import (DisjointSearch, bounds_from_dict, k_disjoint_paths, max_disjoint_count,
+                  pathfind, rank, rank_rows)
 from tnsc import controller as controller_module
 from tnsc import feasibility
 from tnsc.feasibility import Assessment, FeasibilityIndex
 
 from .conftest import assert_conserved, make_request, make_topology
+from .oracles import random_connected_topology
 
 NODE = DisjointnessMode.NODE_DISJOINT
+LINK = DisjointnessMode.LINK_DISJOINT
+SRLG = DisjointnessMode.SRLG_DISJOINT
 
 
 def node_controller(topology, **kwargs):
@@ -514,3 +521,143 @@ class TestSolveCount:
         (entry,) = controller.reconfigure(affected)
         assert entry.outcome == "readmitted" and entry.index is not None
         assert len(solves) == ts1.disjoint_paths
+
+
+def tagged_theta(ab, ad, ae, short=""):
+    """Three 2-hop routes between A and C via B, D and E; each route's
+    first and second links carry the given risk-group tags. The links of
+    the routes via the nodes in ``short`` hold a single calendar slot."""
+    routes = {"B": ab, "D": ad, "E": ae}
+    links = [(f"L_{a}{b}", a, b, {"srlgs": tags, "slot_capacity": 1 if via in short else 20})
+             for via, pair in routes.items()
+             for (a, b), tags in zip((("A", via), (via, "C")), pair)]
+    return make_topology("ABCDE", links, [("A", 30), ("C", 30)])
+
+
+def corner_grid(size=6):
+    """A size x size grid between corners g0_0 and gN_N, with one of g0_0's
+    two links a single slot short of a 2-slot request. Its simple paths
+    outnumber the SRLG budget well before the first one reaches gN_N."""
+    name = "g{}_{}".format
+    links = []
+    for r in range(size):
+        for c in range(size):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < size and c + dc < size:
+                    links.append((f"L{len(links):02d}", name(r, c), name(r + dr, c + dc),
+                                  {"slot_capacity": 1 if not links else 20}))
+    nodes = [name(r, c) for r in range(size) for c in range(size)]
+    corner = name(size - 1, size - 1)
+    return make_topology(nodes, links, [("g0_0", 24), (corner, 24)]), corner
+
+
+class TestSrlgAdmission:
+    """A slot-blocked SRLG admission blames slots exactly when the up
+    network holds k risk-disjoint paths, and derived bounds record the
+    SRLG diversity."""
+
+    # In each case the routes via B and D are a slot short of the request,
+    # so the slot-usable links hold one route.
+    def test_slot_blocked_with_risk_disjoint_up_network(self):
+        topology = tagged_theta(([1], [2]), ([3], [4]), ([5], [6]), short="BD")
+        controller = Controller(topology, mode=SRLG)
+        blocked = controller.admit(make_request("TS_b", d=1, s=2))
+        assert blocked.rejection.reason == "SlotExhausted"
+        assert max_disjoint_count(topology, "A", "C", SRLG) == 3
+        assert_conserved(controller)
+
+    @pytest.mark.parametrize("mode, reason", [(LINK, "SlotExhausted"),
+                                              (SRLG, "InsufficientDiversity")])
+    def test_only_link_disjoint_up_network(self, mode, reason):
+        # Every route's first link shares risk group 7: the up network holds
+        # three link-disjoint paths but no two risk-disjoint ones.
+        topology = tagged_theta(([7], []), ([7], []), ([7], []), short="BD")
+        controller = Controller(topology, mode=mode)
+        blocked = controller.admit(make_request("TS_b", d=1, s=2))
+        assert blocked.rejection.reason == reason
+        if mode is SRLG:
+            assert blocked.rejection.detail == {"requested": 2, "found": 1,
+                                                "budget_exhausted": False}
+        assert_conserved(controller)
+
+    @pytest.mark.parametrize("mode, reason", [(LINK, "SlotExhausted"),
+                                              (SRLG, "InsufficientDiversity")])
+    def test_up_network_walk_out_of_budget(self, mode, reason):
+        topology, corner = corner_grid()
+        controller = Controller(topology, mode=mode)
+        blocked = controller.admit(make_request("TS_far", src="g0_0", dst=corner, d=1, s=2))
+        assert blocked.rejection.reason == reason
+        assert max_disjoint_count(topology, "g0_0", corner, LINK) == 2
+        with pytest.raises(InsufficientDiversity) as caught:
+            k_disjoint_paths(topology, "g0_0", corner, 2, SRLG)
+        assert caught.value.budget_exhausted and caught.value.found == 0
+        if mode is SRLG:
+            assert blocked.rejection.detail["budget_exhausted"] is True
+
+    def test_derived_bounds_record_srlg_diversity(self, ts1):
+        topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
+        controller = Controller(topology, mode=SRLG)
+        usable = controller._usable_links(ts1.calendar_slots)
+        record = controller.admit(ts1)
+        assert record.state is AllocationState.ACTIVE
+        srlg_count = max_disjoint_count(topology, "A", "C", SRLG, usable_links=usable)
+        assert record.vector.numeric_traits["topology"].h == srlg_count == 2
+        assert max_disjoint_count(topology, "A", "C", LINK, usable_links=usable) == 3
+
+
+class TestOneSrlgWalk:
+    """An SRLG search walks its depth-first tree once: ``count()`` after
+    ``paths(k)`` resumes the walk, so the two together pop the heap as
+    often as ``count()`` alone, and a derived-bounds admission pops as
+    often as one ``max_disjoint_count`` on its usable links."""
+
+    @pytest.fixture
+    def pops(self, monkeypatch):
+        popped = []
+
+        def counting(heap):
+            popped.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(pathfind, "heapq", SimpleNamespace(
+            heappop=counting, heappush=heapq.heappush))
+        return popped
+
+    def test_paths_then_count_pops_as_count_alone(self, pops):
+        rng = random.Random(1414)
+        walked = 0
+        for _ in range(60):
+            topology = random_connected_topology(rng, max_nodes=9, srlg_pool=4)
+            src, dst = rng.sample(sorted(topology.nodes), 2)
+            options = {"usable_links": {link.id for link in topology.links
+                                        if rng.random() < 0.9},
+                       "srlg_budget": rng.choice((3, 20, 1000))}
+            ceiling = max_disjoint_count(topology, src, dst, LINK,
+                                         usable_links=options["usable_links"])
+            if not ceiling:
+                continue
+            # Beyond the ceiling paths(k) walks on past where count() stops.
+            k = rng.randint(1, ceiling)
+            pops.clear()
+            fresh = DisjointSearch(topology, src, dst, SRLG, **options).count()
+            alone = len(pops)
+            pops.clear()
+            search = DisjointSearch(topology, src, dst, SRLG, **options)
+            try:
+                search.paths(k)
+                walked += 1
+            except InsufficientDiversity:
+                pass
+            assert search.count() == fresh
+            assert len(pops) == alone
+        assert walked > 10
+
+    def test_derived_admission_pops_as_one_count(self, ts1, pops):
+        topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
+        controller = Controller(topology, mode=SRLG)
+        usable = controller._usable_links(ts1.calendar_slots)
+        assert controller.admit(ts1).state is AllocationState.ACTIVE
+        admitted = len(pops)
+        pops.clear()
+        max_disjoint_count(topology, "A", "C", SRLG, usable_links=usable)
+        assert admitted == len(pops) > 0

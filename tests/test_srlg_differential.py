@@ -1,0 +1,202 @@
+"""Differential check of risk-group (SRLG) mode against the search it
+replaced (``tests.oracles.reference_srlg_disjoint``).
+
+Each seeded graph comes from ``random_graph_dict``, with 6 to 9 nodes or
+with 50 to 400, and has each link tagged with up to two risk groups. Half
+the large graphs' endpoint pairs lie a few hops apart. One
+``DisjointSearch``, over all links or a random usable subset, with a budget
+of 1 to 1000 heap pops, plays a random sequence of ``paths(k)`` and
+``count()`` calls. The reference starts afresh for every call, and its
+count is the deepest set it finds when asked for the link-mode maximum.
+Each call must give the same paths in the same order, the same
+``InsufficientDiversity`` detail or the same count, and a ``paths()`` after
+``count()`` must raise RuntimeError on both. A second stream plays the
+controller differential's scenarios in SRLG mode, their links tagged,
+through ``run_scenario``: each report must equal, byte for byte, the
+report of the same scenario played on reference searches.
+
+The tier-1 tests run the first cases of each stream. The full runs print
+their case count and a sha256 over every outcome and report:
+
+    PYTHONPATH=src python -m tests.test_srlg_differential --graphs 2400
+    PYTHONPATH=src python -m tests.test_srlg_differential --stream scenarios --graphs 24
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import random
+from unittest import mock
+
+from tnsc import (DisjointnessMode, DisjointSearch, controller, max_disjoint_count,
+                  report_to_json, run_scenario, validate_topology)
+from tnsc.errors import InsufficientDiversity
+from tnsc.pathfind import DEFAULT_SRLG_BUDGET
+from tnsc.scenario import scenario_from_dict
+
+from .oracles import random_graph_dict, reference_srlg_disjoint
+from .test_controller_differential import random_scenario
+
+SEED = 7007
+SCENARIO_SEED = 7008
+TIER1_GRAPHS = 60
+TIER1_SCENARIOS = 3
+SRLG = DisjointnessMode.SRLG_DISJOINT
+
+
+class ReferenceSrlgSearch:
+    """``tnsc.DisjointSearch`` in SRLG mode, each call a fresh reference
+    search. The count asks for the link-mode maximum that
+    ``max_disjoint_count`` gives, which the engine differential checks."""
+
+    def __init__(self, topology, src, dst, mode=SRLG, *, usable_links=None,
+                 srlg_budget=DEFAULT_SRLG_BUDGET):
+        assert mode is SRLG
+        self.topology, self.src, self.dst = topology, src, dst
+        self.usable = frozenset(topology.link_by_id if usable_links is None
+                                else usable_links)
+        self.budget = srlg_budget
+        self.counted = False
+
+    def paths(self, k: int):
+        if self.counted:
+            raise RuntimeError("paths() after count()")
+        paths = reference_srlg_disjoint(self.topology, self.src, self.dst, k,
+                                        self.usable, self.budget)
+        return sorted(paths, key=lambda p: (len(p.links), p.nodes))
+
+    def count(self) -> int:
+        self.counted = True
+        ceiling = max_disjoint_count(self.topology, self.src, self.dst,
+                                     usable_links=self.usable)
+        try:
+            reference_srlg_disjoint(self.topology, self.src, self.dst, ceiling,
+                                    self.usable, self.budget)
+        except InsufficientDiversity as err:
+            return err.found
+        return ceiling
+
+
+def tag_links(rng: random.Random, links: list[dict]) -> None:
+    """Give each link up to two risk groups from a pool that grows with the graph."""
+    pool = rng.randint(4, max(4, len(links) // 2))
+    for link in links:
+        link["srlgs"] = sorted({rng.randrange(pool) for _ in range(rng.randint(0, 2))})
+
+
+def _endpoints(rng: random.Random, topology) -> tuple[str, str]:
+    """A random pair, or half the time a pair two to four hops apart."""
+    src = rng.choice(sorted(topology.nodes))
+    hops = {src: 0}
+    queue = [src]
+    for node in queue:
+        for neighbor, _link in topology.adjacency[node]:
+            if neighbor not in hops:
+                hops[neighbor] = hops[node] + 1
+                queue.append(neighbor)
+    near = sorted(node for node, h in hops.items() if 2 <= h <= 4)
+    if near and rng.random() < 0.5:
+        return src, rng.choice(near)
+    return src, rng.choice(sorted(topology.nodes - {src}))
+
+
+def _outcome(search, call):
+    try:
+        if call == "count":
+            return search.count()
+        return [(path.nodes, path.links) for path in search.paths(call)]
+    except InsufficientDiversity as err:
+        return err.detail()
+    except RuntimeError:
+        return "RuntimeError"
+
+
+def sequence_cases(seed: int, graphs: int):
+    """Yield (label, outcome, reference outcome) for every call of every
+    seeded sequence."""
+    rng = random.Random(seed)
+    for number in range(graphs):
+        raw = (random_graph_dict(rng, min_nodes=6, max_nodes=9) if number % 2 == 0
+               else random_graph_dict(rng, min_nodes=50, max_nodes=400))
+        tag_links(rng, raw["links"])
+        topology = validate_topology(raw)
+        src, dst = _endpoints(rng, topology)
+        usable = rng.choice((None, {link.id for link in topology.links
+                                    if rng.random() < 0.85}))
+        budget = round(math.exp(rng.uniform(0, math.log(1000))))
+        options = {"usable_links": usable, "srlg_budget": budget}
+        search = DisjointSearch(topology, src, dst, SRLG, **options)
+        reference = ReferenceSrlgSearch(topology, src, dst, SRLG, **options)
+        label = (number, len(topology.nodes), usable is None, budget, src, dst)
+        for step in range(rng.randint(1, 5)):
+            call = "count" if rng.random() < 0.25 else rng.randint(1, 4)
+            yield (label + (step, call), _outcome(search, call),
+                   _outcome(reference, call))
+
+
+def scenario_cases(seed: int, graphs: int):
+    """Yield (label, report, reference report) for each seeded SRLG
+    scenario, the reports as bytes."""
+    rng = random.Random(seed)
+    for number in range(graphs):
+        raw = random_scenario(rng)
+        raw["mode"] = SRLG.value
+        tag_links(rng, raw["topology"]["links"])
+        played = scenario_from_dict(raw)
+        report = report_to_json(run_scenario(played)).encode()
+        with mock.patch.object(controller, "DisjointSearch", ReferenceSrlgSearch):
+            expected = report_to_json(run_scenario(scenario_from_dict(raw))).encode()
+        yield (number, len(played.topology.nodes), played.bounds.mode.value), report, expected
+
+
+STREAMS = {"sequences": (sequence_cases, SEED),
+           "scenarios": (scenario_cases, SCENARIO_SEED)}
+
+
+def test_srlg_sequences_match_reference():
+    cases = exhausted = 0
+    for label, outcome, expected in sequence_cases(SEED, TIER1_GRAPHS):
+        assert outcome == expected, label
+        cases += 1
+        exhausted += isinstance(expected, dict) and expected["budget_exhausted"]
+    assert cases > 2 * TIER1_GRAPHS
+    assert exhausted > 0
+
+
+def test_srlg_scenarios_match_reference():
+    reports = []
+    for label, report, expected in scenario_cases(SCENARIO_SEED, TIER1_SCENARIOS):
+        assert report == expected, label
+        reports.append(report)
+    for seen in (b'"outcome":"active"', b'"budget_exhausted":true',
+                 b'"reason":"SlotExhausted"', b'"action":"reconfigure"'):
+        assert any(seen in report for report in reports), seen
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--graphs", type=int, default=2400)
+    parser.add_argument("--stream", choices=sorted(STREAMS), default="sequences")
+    parser.add_argument("--seed", type=int, help="default: the stream's own")
+    args = parser.parse_args(argv)
+    cases_of, default_seed = STREAMS[args.stream]
+    if args.seed is None:
+        args.seed = default_seed
+    digest = hashlib.sha256()
+    cases = mismatches = 0
+    for label, outcome, expected in cases_of(args.seed, args.graphs):
+        cases += 1
+        if outcome != expected:
+            mismatches += 1
+            print("mismatch", label)
+        digest.update(outcome if isinstance(outcome, bytes)
+                      else repr((label, outcome)).encode())
+    print(f"graphs={args.graphs} seed={args.seed} cases={cases} "
+          f"mismatches={mismatches} sha256={digest.hexdigest()}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
