@@ -51,7 +51,6 @@ from .model import (
     bounds_from_dict,
     derive_bounds,
     request_from_dict,
-    topology_to_dict,
     validate_topology,
     weights_from_dict,
 )
@@ -75,7 +74,6 @@ from .scenario import (
     rows_to_json,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 __version__ = "0.1.0"

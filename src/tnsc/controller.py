@@ -270,24 +270,26 @@ class Controller:
             return err
         return SlotExhausted(request.calendar_slots)
 
-    def _evaluate(self, request: SliceRequest, search: DisjointSearch | None = None,
-                  ) -> Assessment:
-        """Derived bounds count diversity on ``search``, or on a new search
-        when None; static bounds never build one."""
-        if self.bounds.mode is BoundsMode.DERIVED:
-            if search is None:
-                search = self._search(request, self._usable_links(request.calendar_slots))
+    def _evaluate(self, request: SliceRequest, search: DisjointSearch) -> Assessment:
+        """Derived bounds count diversity on ``search``; static bounds ignore it."""
+        bounds = self.bounds
+        if bounds.mode is BoundsMode.DERIVED:
             bounds = derive_bounds(request, search, self.ledger.residual_slots,
                                    self.ledger.residual_ports)
-        else:
-            bounds = self.bounds
         return assess(request, bounds)
 
-    def _appraisal(self, request: SliceRequest) -> Assessment | None:
-        try:
-            return self._evaluate(request)
-        except TnscError:
-            return None
+    def _appraisal(self, record: AllocationRecord) -> Assessment:
+        """A released slice's standing now. Static bounds ignore the ledger,
+        so the record's own vector and index still hold; derived bounds are
+        resolved again on the freed ledger, which cannot raise: an active
+        record's endpoints are distinct nodes with a matching port group."""
+        if self.bounds.mode is BoundsMode.STATIC:
+            vector = record.vector
+            return Assessment(record.slice_id, vector.numeric_traits, (), vector,
+                              record.index)
+        request = self.requests[record.slice_id]
+        return self._evaluate(
+            request, self._search(request, self._usable_links(request.calendar_slots)))
 
     # -- release ------------------------------------------------------------
 
@@ -364,7 +366,7 @@ class Controller:
         for slice_id in targets:
             self.release(slice_id)
 
-        appraisals = {slice_id: self._appraisal(self.requests[slice_id])
+        appraisals = {slice_id: self._appraisal(self.records[slice_id])
                       for slice_id in targets}
         # Static bounds ignore the ledger, so readmission reuses the appraisal.
         reuse = appraisals if self.bounds.mode is BoundsMode.STATIC else {}
@@ -373,7 +375,7 @@ class Controller:
 
         def sort_key(slice_id: str):
             # Unnormalizable requests rank as least feasible.
-            index = appraisals[slice_id] and appraisals[slice_id].index
+            index = appraisals[slice_id].index
             return rank_key(index and index.value, slice_id, descending)
 
         entries = []
@@ -393,8 +395,8 @@ class Controller:
                 slice_id=slice_id,
                 old_paths=old[slice_id].paths,
                 new_paths=record.paths,
-                vector=appraisal and appraisal.vector,
-                index=appraisal and appraisal.index,
+                vector=appraisal.vector,
+                index=appraisal.index,
                 outcome=outcome,
                 rejection=record.rejection,
             ))

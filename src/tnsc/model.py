@@ -80,8 +80,8 @@ class DeviceProfile:
 class NetworkTopology:
     """Validated, immutable network description.
 
-    Construct through :func:`validate_topology`; the lookup tables below are
-    derived lazily and assume the invariants already hold.
+    Construct through :func:`validate_topology`; the two lookups by id below
+    are derived lazily and assume the invariants already hold.
     """
 
     nodes: frozenset[str]
@@ -95,21 +95,6 @@ class NetworkTopology:
     @cached_property
     def device_by_node(self) -> Mapping[str, DeviceProfile]:
         return {device.node: device for device in self.devices}
-
-    @cached_property
-    def adjacency(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
-        """Per node, (neighbor, link id) pairs sorted for deterministic walks."""
-        out: dict[str, list[tuple[str, str]]] = {node: [] for node in self.nodes}
-        for link in self.links:
-            out[link.a].append((link.b, link.id))
-            out[link.b].append((link.a, link.id))
-        return {node: tuple(sorted(pairs)) for node, pairs in out.items()}
-
-    def link_between(self, a: str, b: str) -> Link | None:
-        for neighbor, link_id in self.adjacency.get(a, ()):
-            if neighbor == b:
-                return self.link_by_id[link_id]
-        return None
 
 
 @dataclass(frozen=True)
@@ -236,17 +221,6 @@ class Path:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValidationError("path", f"repeated node in {self.nodes}")
 
-    @classmethod
-    def through(cls, topology: NetworkTopology, nodes: tuple[str, ...]) -> "Path":
-        """Build a path from a node sequence, deriving link ids from the topology."""
-        links = []
-        for a, b in zip(nodes, nodes[1:]):
-            link = topology.link_between(a, b)
-            if link is None:
-                raise ValidationError("path", f"no link joins {a!r} and {b!r}")
-            links.append(link.id)
-        return cls(nodes=tuple(nodes), links=tuple(links))
-
 
 class AllocationState(str, Enum):
     ACTIVE = "active"
@@ -290,7 +264,7 @@ class AllocationRecord:
 
 
 # ---------------------------------------------------------------------------
-# Topology ingestion and serialization
+# Topology ingestion
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +346,7 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
                      DanglingEndpoint, str(endpoint))
         _require(a != b, ValidationError, link_id, "link endpoints must differ")
         pair = frozenset((a, b))
-        # Parallel links would make link ids underivable from node sequences.
+        # No parallel links: verify_disjoint matches each hop's link by its endpoints.
         _require(pair not in seen_pairs, DuplicateId, link_id)
         capacity = entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY)
         capacity = _as_int(capacity, link_id, "slot_capacity")
@@ -414,35 +388,6 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
 
     return NetworkTopology(nodes=frozenset(nodes), links=tuple(links),
                            devices=tuple(devices))
-
-
-def topology_to_dict(topology: NetworkTopology) -> dict:
-    """Serialize back to the external JSON shape (round-trips through
-    :func:`validate_topology`)."""
-    return {
-        "nodes": sorted(topology.nodes),
-        "links": [
-            {
-                "id": link.id,
-                "a": link.a,
-                "b": link.b,
-                "slot_capacity": link.slot_capacity,
-                "slot_gbps": link.slot_gbps,
-                "srlgs": sorted(link.srlgs),
-            }
-            for link in topology.links
-        ],
-        "devices": [
-            {
-                "node": device.node,
-                "ports": [
-                    {"type": g.port_type, "gbps": g.gbps, "count": g.count}
-                    for g in device.port_groups
-                ],
-            }
-            for device in topology.devices
-        ],
-    }
 
 
 def request_from_dict(raw: Mapping) -> SliceRequest:
@@ -499,18 +444,6 @@ def bounds_from_dict(raw: Mapping) -> TraitBounds:
                             h=_as_int(entry.get("h"), dim, "h"))
     return TraitBounds(mode=mode, topology=bounds["topology"],
                        device=bounds["device"], data_plane=bounds["data_plane"])
-
-
-def bounds_to_dict(bounds: TraitBounds) -> dict:
-    if bounds.mode is BoundsMode.DERIVED and bounds.topology.h is None:
-        return {"mode": "derived"}
-    return {
-        "mode": bounds.mode.value,
-        **{
-            dim: {"l": bounds.bound(dim).l, "h": bounds.bound(dim).h}
-            for dim in DIMENSIONS
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,8 @@ from .model import (
     _as_object,
     _check_endpoint_ports,
     bounds_from_dict,
-    bounds_to_dict,
     derive_bounds,
     request_from_dict,
-    topology_to_dict,
     validate_topology,
 )
 from .pathfind import DisjointnessMode, DisjointSearch
@@ -228,48 +226,6 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
 
     return Scenario(topology=topology, bounds=bounds, mode=mode, policy=policy,
                     events=tuple(events))
-
-
-def request_to_dict(request: SliceRequest) -> dict:
-    out = {
-        "id": request.id,
-        "src": request.src,
-        "dst": request.dst,
-        "control": request.control,
-        "disjoint_paths": request.disjoint_paths,
-        "client_ports": {
-            "type": request.client_ports.port_type,
-            "gbps": request.client_ports.gbps,
-            "count": request.client_ports.count,
-        },
-        "calendar_slots": request.calendar_slots,
-    }
-    if request.weights is not None:
-        out["weights"] = dict(request.weights)
-    return out
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    events = []
-    for event in scenario.events:
-        entry: dict = {"seq": event.seq, "type": event.kind.value}
-        if event.kind is EventKind.REQUEST_ARRIVAL:
-            entry["request"] = request_to_dict(event.request)
-        elif event.kind is EventKind.REQUEST_RELEASE:
-            entry["slice"] = event.slice_id
-        else:
-            entry["link"] = event.link_id
-        events.append(entry)
-    return {
-        "topology": topology_to_dict(scenario.topology),
-        "bounds": bounds_to_dict(scenario.bounds),
-        "mode": scenario.mode.value,
-        "policy": {
-            "order": scenario.policy.order.value,
-            "on_failure": scenario.policy.on_failure.value,
-        },
-        "events": events,
-    }
 
 
 # ---------------------------------------------------------------------------

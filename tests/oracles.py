@@ -15,7 +15,9 @@ which checks each hop with ``link_between``, and the controller's per-link
 usable-link filter and per-path stale-slice scan. ``reference_srlg_disjoint``
 is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
-with a fresh budget for every call.
+with a fresh budget for every call. That name-keyed view (``adjacency``,
+``link_between`` and ``path_through``) lives here, since the library walks
+only its compiled network.
 """
 
 from __future__ import annotations
@@ -34,7 +36,36 @@ from tnsc.errors import InsufficientDiversity, NonPositiveWeight
 from tnsc.model import DIMENSIONS
 
 
-def enumerate_simple_paths(topology: NetworkTopology, src: str, dst: str):
+Adjacency = Mapping[str, Sequence[tuple[str, str]]]
+
+
+def adjacency(topology: NetworkTopology) -> Adjacency:
+    """Per node, its (neighbor, link id) pairs sorted for deterministic walks.
+    Build it once per reference call and pass it down."""
+    out: dict[str, list[tuple[str, str]]] = {node: [] for node in topology.nodes}
+    for link in topology.links:
+        out[link.a].append((link.b, link.id))
+        out[link.b].append((link.a, link.id))
+    for pairs in out.values():
+        pairs.sort()
+    return out
+
+
+def link_between(adjacent: Adjacency, a: str, b: str) -> str | None:
+    """The id of the link joining ``a`` and ``b``, or None."""
+    for neighbor, link_id in adjacent.get(a, ()):
+        if neighbor == b:
+            return link_id
+    return None
+
+
+def path_through(adjacent: Adjacency, nodes: tuple[str, ...]) -> Path:
+    """The path over ``nodes``, each hop's link found by its endpoints."""
+    return Path(nodes, tuple(link_between(adjacent, a, b)
+                             for a, b in zip(nodes, nodes[1:])))
+
+
+def enumerate_simple_paths(adjacent: Adjacency, src: str, dst: str):
     """All simple src->dst paths as node tuples, DFS over sorted adjacency."""
     paths = []
 
@@ -42,7 +73,7 @@ def enumerate_simple_paths(topology: NetworkTopology, src: str, dst: str):
         if node == dst:
             paths.append(tuple(trail))
             return
-        for neighbor, _link in topology.adjacency[node]:
+        for neighbor, _link in adjacent[node]:
             if neighbor not in seen:
                 walk(neighbor, seen | {neighbor}, trail + [neighbor])
 
@@ -50,27 +81,27 @@ def enumerate_simple_paths(topology: NetworkTopology, src: str, dst: str):
     return paths
 
 
-def path_links(topology: NetworkTopology, nodes) -> frozenset[str]:
-    return frozenset(topology.link_between(a, b).id
-                     for a, b in zip(nodes, nodes[1:]))
+def path_links(adjacent: Adjacency, nodes) -> frozenset[str]:
+    return frozenset(link_between(adjacent, a, b) for a, b in zip(nodes, nodes[1:]))
 
 
-def path_srlgs(topology: NetworkTopology, nodes) -> frozenset[int]:
+def path_srlgs(topology: NetworkTopology, adjacent: Adjacency, nodes) -> frozenset[int]:
     tags: set[int] = set()
-    for link_id in path_links(topology, nodes):
+    for link_id in path_links(adjacent, nodes):
         tags |= topology.link_by_id[link_id].srlgs
     return frozenset(tags)
 
 
-def pair_disjoint(topology: NetworkTopology, first, second,
+def pair_disjoint(topology: NetworkTopology, adjacent: Adjacency, first, second,
                   mode: DisjointnessMode) -> bool:
-    if path_links(topology, first) & path_links(topology, second):
+    if path_links(adjacent, first) & path_links(adjacent, second):
         return False
     if mode is DisjointnessMode.NODE_DISJOINT:
         if set(first[1:-1]) & set(second[1:-1]):
             return False
     if mode is DisjointnessMode.SRLG_DISJOINT:
-        if path_srlgs(topology, first) & path_srlgs(topology, second):
+        if (path_srlgs(topology, adjacent, first)
+                & path_srlgs(topology, adjacent, second)):
             return False
     return True
 
@@ -78,14 +109,15 @@ def pair_disjoint(topology: NetworkTopology, first, second,
 def exists_k_disjoint(topology: NetworkTopology, src: str, dst: str, k: int,
                       mode: DisjointnessMode) -> bool:
     """Exhaustive search over subsets of simple paths."""
-    paths = enumerate_simple_paths(topology, src, dst)
+    adjacent = adjacency(topology)
+    paths = enumerate_simple_paths(adjacent, src, dst)
 
     def extend(start: int, chosen: list) -> bool:
         if len(chosen) == k:
             return True
         for i in range(start, len(paths)):
             candidate = paths[i]
-            if all(pair_disjoint(topology, candidate, have, mode)
+            if all(pair_disjoint(topology, adjacent, candidate, have, mode)
                    for have in chosen):
                 if extend(i + 1, chosen + [candidate]):
                     return True
@@ -106,7 +138,8 @@ def min_total_hops(topology: NetworkTopology, src: str, dst: str, k: int,
                    mode: DisjointnessMode) -> int | None:
     """Fewest summed hops over all sets of k pairwise-disjoint simple
     paths, or None when no such set exists."""
-    paths = enumerate_simple_paths(topology, src, dst)
+    adjacent = adjacency(topology)
+    paths = enumerate_simple_paths(adjacent, src, dst)
     best = None
 
     def extend(start: int, chosen: list, hops: int) -> None:
@@ -116,7 +149,7 @@ def min_total_hops(topology: NetworkTopology, src: str, dst: str, k: int,
             return
         for i in range(start, len(paths)):
             candidate = paths[i]
-            if all(pair_disjoint(topology, candidate, have, mode)
+            if all(pair_disjoint(topology, adjacent, candidate, have, mode)
                    for have in chosen):
                 extend(i + 1, chosen + [candidate], hops + len(candidate) - 1)
 
@@ -282,12 +315,12 @@ def reference_verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
     """``tnsc.verify_disjoint`` finding each hop's link by ``link_between``."""
     if not paths:
         return False
+    adjacent = adjacency(topology)
     for path in paths:
         if len(set(path.nodes)) != len(path.nodes):
             return False
         for i, (a, b) in enumerate(zip(path.nodes, path.nodes[1:])):
-            link = topology.link_between(a, b)
-            if link is None or link.id != path.links[i]:
+            if link_between(adjacent, a, b) != path.links[i]:
                 return False
     if len({(path.nodes[0], path.nodes[-1]) for path in paths}) > 1:
         return False
@@ -324,7 +357,7 @@ class _Budget:
         self.remaining -= 1
 
 
-def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
+def _ordered_simple_paths(adjacent: Adjacency, src: str, dst: str,
                           allowed: set[str], budget: _Budget) -> Iterator[Path]:
     """Yield simple paths in (hop count, node sequence) order. Every heap
     expansion spends one unit of the shared search budget."""
@@ -334,9 +367,9 @@ def _ordered_simple_paths(topology: NetworkTopology, src: str, dst: str,
         hops, nodes = heapq.heappop(heap)
         last = nodes[-1]
         if last == dst:
-            yield Path.through(topology, nodes)
+            yield path_through(adjacent, nodes)
             continue
-        for neighbor, link_id in topology.adjacency[last]:
+        for neighbor, link_id in adjacent[last]:
             if link_id in allowed and neighbor not in nodes:
                 heapq.heappush(heap, (hops + 1, nodes + (neighbor,)))
 
@@ -346,6 +379,7 @@ def reference_srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: in
     """Backtracking over path choices: each level excludes the links and
     risk groups claimed so far. First full set found wins, so the result is
     deterministic but not necessarily hop-minimal."""
+    adjacent = adjacency(topology)
     budget = _Budget(budget_limit)
     deepest = 0
 
@@ -360,7 +394,7 @@ def reference_srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: in
             if link_id not in used_links
             and not (topology.link_by_id[link_id].srlgs & used_srlgs)
         }
-        for path in _ordered_simple_paths(topology, src, dst, allowed, budget):
+        for path in _ordered_simple_paths(adjacent, src, dst, allowed, budget):
             result = search(
                 chosen + [path],
                 used_links | set(path.links),
@@ -488,10 +522,9 @@ def reference_canonical_json(value) -> str:
     return "".join(out)
 
 
-def random_connected_topology(rng, max_nodes=8, srlg_pool=0):
-    """Random spanning tree plus a few chords; optional risk-group tags."""
-    import tnsc
-
+def random_connected_dict(rng, max_nodes=8, srlg_pool=0):
+    """Random spanning tree plus a few chords, as a raw topology dict with
+    its nodes in sorted order and no devices; optional risk-group tags."""
     n = rng.randint(4, max_nodes)
     names = [chr(ord("A") + i) for i in range(n)]
     links = []
@@ -520,7 +553,12 @@ def random_connected_topology(rng, max_nodes=8, srlg_pool=0):
     for a, b in candidates[: rng.randint(1, max(1, n // 2))]:
         add_link(a, b)
 
-    return tnsc.validate_topology({"nodes": names, "links": links, "devices": []})
+    return {"nodes": names, "links": links, "devices": []}
+
+
+def random_connected_topology(rng, max_nodes=8, srlg_pool=0):
+    """``random_connected_dict``, validated."""
+    return validate_topology(random_connected_dict(rng, max_nodes, srlg_pool))
 
 
 def random_graph_dict(rng, min_nodes=6, max_nodes=400, family=None):

@@ -302,12 +302,13 @@ class TestReconfigure:
         assert controller.records["TS_2"].state is AllocationState.RELEASED
         assert_conserved(controller)
 
-    @pytest.mark.parametrize("static, per_slice", [(True, 1), (False, 2)])
+    @pytest.mark.parametrize("static, per_slice", [(True, 0), (False, 2)])
     def test_assessments_per_moved_slice(self, theta, table2_bounds, monkeypatch,
                                          static, per_slice):
-        """Static bounds ignore the ledger, so a moved slice's appraisal is
-        its readmission's assessment too; derived bounds follow the ledger
-        each readmission debits, so a readmission assesses again."""
+        """Static bounds ignore the ledger, so a moved slice keeps its
+        record's vector and index and is not assessed again; derived bounds
+        follow the ledger each readmission debits, so a moved slice is
+        appraised and its readmission assesses again."""
         controller = Controller(theta, bounds=table2_bounds, mode=NODE) if static \
             else node_controller(theta)
         for rid in ("TS_1", "TS_2"):
@@ -378,8 +379,8 @@ class TestOneRankingRule:
         affected = controller.apply_event(
             Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_AB"))
         assert sorted(affected) == sorted(self.VALUES)
-        controller._appraisal = lambda request: self.assessment(
-            request.id, self.VALUES[request.id])
+        controller._appraisal = lambda record: self.assessment(
+            record.slice_id, self.VALUES[record.slice_id])
         entries = controller.reconfigure(affected)
         expected = self.DESCENDING if order is ReconfigOrder.DESCENDING_INDEX \
             else self.ASCENDING

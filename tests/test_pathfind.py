@@ -27,7 +27,9 @@ from tnsc.errors import InsufficientDiversity, ValidationError
 
 from .conftest import make_topology
 from .oracles import (
+    adjacency,
     exists_k_disjoint,
+    link_between,
     max_disjoint_brute,
     min_total_hops,
     random_connected_topology,
@@ -501,10 +503,11 @@ class TestNetworkMemo:
 def hop_counts(topology, dst):
     """Hop distance from each node that reaches ``dst``, by a plain
     breadth-first search over the topology's adjacency."""
+    adjacent = adjacency(topology)
     hops = {dst: 0}
     queue = [dst]
     for node in queue:
-        for neighbor, _ in topology.adjacency[node]:
+        for neighbor, _ in adjacent[node]:
             if neighbor not in hops:
                 hops[neighbor] = hops[node] + 1
                 queue.append(neighbor)
@@ -623,7 +626,7 @@ class TestMetamorphic:
         for rng, raw, src, dst in related_graphs(7102, 60):
             topology = validate_topology(raw)
             a, b = rng.choice((src, dst)), rng.choice(raw["nodes"])
-            if a == b or topology.link_between(a, b) is not None:
+            if a == b or link_between(adjacency(topology), a, b) is not None:
                 continue
             grown = validate_topology(
                 dict(raw, links=raw["links"] + [{"id": "added", "a": a, "b": b}]))
@@ -665,8 +668,9 @@ def _mutations(topology, paths, rng, foreign):
     nodes, links = list(path.nodes), list(path.links)
     variants = []
     hop = rng.randrange(len(links))
+    adjacent = adjacency(topology)
     neighbours = [link_id for node in nodes[hop:hop + 2]
-                  for _, link_id in topology.adjacency[node] if link_id != links[hop]]
+                  for _, link_id in adjacent[node] if link_id != links[hop]]
     if neighbours:
         variants.append((nodes, links[:hop] + [rng.choice(neighbours)] + links[hop + 1:]))
     if len(nodes) > 2:

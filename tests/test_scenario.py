@@ -18,7 +18,6 @@ from tnsc import (
     rows_to_csv,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from tnsc.errors import ParseError, ValidationError
 from tnsc.model import DIMENSIONS
@@ -117,17 +116,6 @@ class TestLoadScenario:
         event["request"]["dst"] = "Z"
         with pytest.raises(ValidationError):
             scenario_from_dict(scenario_with_events([event]))
-
-    def test_round_trip(self):
-        raw = scenario_with_events([
-            arrival(1, "TS_1"),
-            {"seq": 2, "type": "link_down", "link": "L_BC"},
-            {"seq": 3, "type": "link_up", "link": "L_BC"},
-            {"seq": 4, "type": "request_release", "slice": "TS_1"},
-        ])
-        scenario = scenario_from_dict(raw)
-        again = scenario_from_dict(scenario_to_dict(scenario))
-        assert again == scenario
 
 
 class TestRunScenario:

@@ -36,7 +36,7 @@ from tnsc.errors import InsufficientDiversity
 from tnsc.pathfind import DEFAULT_SRLG_BUDGET
 from tnsc.scenario import scenario_from_dict
 
-from .oracles import random_graph_dict, reference_srlg_disjoint
+from .oracles import adjacency, random_graph_dict, reference_srlg_disjoint
 from .test_controller_differential import random_scenario
 
 SEED = 7007
@@ -89,10 +89,11 @@ def tag_links(rng: random.Random, links: list[dict]) -> None:
 def _endpoints(rng: random.Random, topology) -> tuple[str, str]:
     """A random pair, or half the time a pair two to four hops apart."""
     src = rng.choice(sorted(topology.nodes))
+    adjacent = adjacency(topology)
     hops = {src: 0}
     queue = [src]
     for node in queue:
-        for neighbor, _link in topology.adjacency[node]:
+        for neighbor, _link in adjacent[node]:
             if neighbor not in hops:
                 hops[neighbor] = hops[node] + 1
                 queue.append(neighbor)

@@ -1,15 +1,18 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
 module and name and counts rejections by reason name, so renaming or moving
 either must fail here, not first in a traced benchmark run. The package's modules must also import each other
-without a cycle at run time, the README's library example must run, and
-each differential test's documented full-run command must run."""
+without a cycle at run time, the README's library example must run,
+each differential test's documented full-run command must run, and every
+public name must have a user."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
+import re
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -25,6 +28,8 @@ DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
                  "test_merge_differential", "test_shortest_differential",
                  "test_srlg_differential")
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
+#: Functions the paper defines, exported whether or not anything calls them.
+PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")
 
 
 def _load_spans():
@@ -116,3 +121,40 @@ def test_documented_full_run_command(command):
 def test_every_differential_documents_a_command():
     documented = {command[1] for command in _documented_commands()}
     assert documented == {f"tests.{name}" for name in DIFFERENTIALS}
+
+
+def _reads_outside_own_definition(tree: ast.Module) -> set[str]:
+    """Names and attributes a module reads, leaving out a top-level
+    function's or class's reads of its own name."""
+    found: set[str] = set()
+    for top in tree.body:
+        reads: set[str] = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            reads.discard(top.name)
+        found |= reads
+    return found
+
+
+def test_every_export_has_a_user():
+    """Each non-module name in ``tnsc.__all__`` is read by the library
+    outside its own definition, or named by the benchmark, the README or
+    the acceptance suite; only the paper's own functions are exempt."""
+    import tnsc
+
+    used: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        used |= _reads_outside_own_definition(ast.parse(path.read_text()))
+    texts = [README, ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "perfbench").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.md"))]
+    for path in texts:
+        used.update(re.findall(r"\w+", path.read_text()))
+    unused = [name for name in tnsc.__all__
+              if not inspect.ismodule(getattr(tnsc, name))
+              and name not in used and name not in PAPER_FUNCTIONS]
+    assert unused == []
