@@ -28,7 +28,6 @@ from .feasibility import (
     merge_index,
     normalize_falling,
     normalize_rising,
-    normalize_trait,
     rank,
     rank_key,
 )

@@ -10,9 +10,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NonPositiveWeight, OutOfRange, UnknownDimension, ValidationError
-from .model import DIMENSIONS, Bound, SliceRequest, TraitBounds, weights_from_dict
+from .model import DIMENSIONS, SliceRequest, TraitBounds, weights_from_dict
 
 
 def _check_range(r: int, l: int, h: int) -> None:
@@ -45,9 +46,9 @@ def normalize_rising(r: int, l: int, h: int) -> float:
     return (r - l) / (h - l)
 
 
-@dataclass(frozen=True)
-class TraitValue:
-    """One normalized numeric trait with the raw value and range behind it."""
+class TraitValue(NamedTuple):
+    """One normalized numeric trait with the raw value and range behind it; a
+    named tuple, as immutable as a frozen dataclass and half the cost to build."""
 
     raw: int
     l: int
@@ -82,8 +83,7 @@ class FeasibilityVector:
         return tuple(t.value for t in self.numeric_traits.values())
 
 
-@dataclass(frozen=True)
-class FeasibilityIndex:
+class FeasibilityIndex(NamedTuple):
     """Weighted harmonic merge of the numeric traits, in [0, 1]."""
 
     value: float
@@ -96,21 +96,13 @@ class DimensionComparison(str, Enum):
     EQUAL = "equal"
 
 
-def normalize_trait(dimension: str, raw: int, bound: Bound) -> TraitValue:
-    """Normalize one numeric trait against its range; OutOfRange propagates."""
-    if bound.h is None:
-        raise ValidationError("bounds", f"bounds for {dimension!r} are unresolved "
-                              "(derived mode requires derive_bounds against a topology)")
-    value = normalize_falling(raw, bound.l, bound.h)
-    return TraitValue(raw=raw, l=bound.l, h=bound.h, value=value)
-
-
 @dataclass(slots=True)
 class Assessment:
-    """One request scored against its bounds: each dimension that normalized,
-    an OutOfRange tagged with dimension and slice id for each that did not
-    (both in DIMENSIONS order), and the vector and index once all did. Not
-    frozen: one is built per scored row, and freezing costs a microsecond."""
+    """One request scored against its bounds: a TraitValue for each dimension
+    in range, an OutOfRange tagged with dimension and slice id, built without
+    a raise, for each that is not (both in DIMENSIONS order), and the vector
+    and index once all are. Not frozen: one is built per scored row, and
+    freezing costs a microsecond; its traits and index are named tuples."""
 
     slice_id: str
     traits: Mapping[str, TraitValue]
@@ -122,14 +114,21 @@ class Assessment:
 def assess(request: SliceRequest, bounds: TraitBounds,
            weights: Mapping[str, float] | None = None) -> Assessment:
     """Score ``request`` against ``bounds``. A request carrying its own
-    weights merges with them in place of ``weights``, as a whole map."""
+    weights merges with them in place of ``weights``, as a whole map. Each
+    trait is read and range-checked once; only values in range normalize."""
     traits: dict[str, TraitValue] = {}
     errors = []
     for dim in DIMENSIONS:
-        try:
-            traits[dim] = normalize_trait(dim, request.trait(dim), bounds.bound(dim))
-        except OutOfRange as err:
-            errors.append(OutOfRange(err.r, err.l, err.h, dim, request.id))
+        r = request.trait(dim)
+        bound = bounds.bound(dim)
+        l, h = bound.l, bound.h
+        if h is None:
+            raise ValidationError("bounds", f"bounds for {dim!r} are unresolved "
+                                  "(derived mode requires derive_bounds against a topology)")
+        if l <= r <= h:
+            traits[dim] = TraitValue(r, l, h, normalize_falling(r, l, h))
+        else:
+            errors.append(OutOfRange(r, l, h, dim, request.id))
     if errors:
         return Assessment(request.id, traits, tuple(errors))
     vector = FeasibilityVector(request.id, {"control": request.control}, traits)
@@ -150,13 +149,13 @@ def harmonic_index(values: Sequence[float],
                    weights: Sequence[float] | None = None) -> float:
     """Weighted harmonic mean of positive values; 0 if any value is 0.
 
-    Every float is a dyadic rational, so the weight sum and the sum of w/v
-    are kept exactly as one integer numerator and one integer denominator
-    each (from ``as_integer_ratio``), and ``num / den`` rounds the exact
-    mean once: Python's int/int true division is correctly rounded. That
-    keeps the result inside [min, max] and independent of input order. A
-    NaN or infinite input raises ValueError or OverflowError from
-    ``as_integer_ratio``.
+    Checks the arguments, then merges exactly: every float is a dyadic
+    rational, so the weight sum and the sum of w/v are kept as one integer
+    numerator and one integer denominator each (from ``as_integer_ratio``),
+    and ``num / den`` rounds the exact mean once: Python's int/int true
+    division is correctly rounded. That keeps the result inside [min, max]
+    and independent of input order. A NaN or infinite input raises
+    ValueError or OverflowError from ``as_integer_ratio``.
     """
     if not values:
         raise ValueError("cannot merge an empty value list")
@@ -170,7 +169,12 @@ def harmonic_index(values: Sequence[float],
     for v in values:
         if v < 0:
             raise ValueError(f"trait values must be non-negative, got {v!r}")
-    if any(v == 0 for v in values):
+    return _exact_harmonic(values, weights)
+
+
+def _exact_harmonic(values: Sequence[float], weights: Sequence[float]) -> float:
+    """:func:`harmonic_index` on checked, equal-length inputs."""
+    if 0 in values:
         return 0.0
     ratios = [w.as_integer_ratio() for w in weights]
     weight_num, weight_den = 0, 1
@@ -185,21 +189,23 @@ def harmonic_index(values: Sequence[float],
     return (weight_num * inverse_den) / (weight_den * inverse_num)
 
 
+_UNIT_WEIGHTS = {dim: 1.0 for dim in DIMENSIONS}
+
+
 def merge_index(vector: FeasibilityVector,
                 weights: Mapping[str, float] | None = None) -> FeasibilityIndex:
     """Merge the vector's numeric traits into a single comparable index.
 
     Weights default to 1 per dimension; dimensions missing from ``weights``
-    also get 1. Boolean traits are excluded.
+    also get 1. Boolean traits are excluded. The vector and
+    :func:`~tnsc.model.weights_from_dict` have checked what harmonic_index would.
     """
-    resolved = {dim: 1.0 for dim in DIMENSIONS}
+    resolved = _UNIT_WEIGHTS.copy()
     if weights:
         resolved.update(weights_from_dict(weights, vector.slice_id))
-    value = harmonic_index(
-        [vector.numeric_traits[dim].value for dim in DIMENSIONS],
-        [resolved[dim] for dim in DIMENSIONS],
-    )
-    return FeasibilityIndex(value=value, weights_used=resolved)
+    value = _exact_harmonic([trait.value for trait in vector.numeric_traits.values()],
+                            [resolved[dim] for dim in DIMENSIONS])
+    return FeasibilityIndex(value, resolved)
 
 
 def group_by_boolean(

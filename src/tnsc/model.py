@@ -280,7 +280,8 @@ def _as_int(value, element: str, what: str) -> int:
 
 
 def _as_object(value, element: str, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
+    # The exact-type test first: the ABC check costs several times more.
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise ValidationError(element, f"{what} must be an object, got {value!r}")
     return value
 
@@ -307,7 +308,8 @@ def _as_choice(kind: type[Enum], value, element: str, what: str):
 def _as_positive(value, error: type[TnscError], *args) -> float:
     """Read a finite int or float (not a bool) greater than 0 as a float;
     otherwise raise ``error(*args)``, so each site keeps its own reason."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if (type(value) is float or type(value) is int
+            or isinstance(value, (int, float)) and not isinstance(value, bool)):
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range

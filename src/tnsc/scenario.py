@@ -63,16 +63,16 @@ _PLAIN = ((int, int), (float, float), (str, str.__str__), (Mapping, dict),
           ((list, tuple), list))
 
 
-def _write_canonical(value, out: list[str]) -> None:
+def _write_canonical(value, out: list[str], layouts: dict) -> None:
     kind = type(value)
     if kind is str:
         out.append(_escape(value))
     elif kind is float:
         out.append(_format_float(value))
     elif kind is dict:
-        _write_object(value, out)
+        _write_object(value, out, layouts)
     elif kind is list or kind is tuple:
-        _write_array(value, out)
+        _write_array(value, out, layouts)
     elif kind is int:
         out.append(str(value))
     elif value is None:
@@ -86,36 +86,42 @@ def _write_canonical(value, out: list[str]) -> None:
         # plain value; str.__str__, unlike str(), gives a str enum's value.
         for base, plain in _PLAIN:
             if isinstance(value, base):
-                return _write_canonical(plain(value), out)
+                return _write_canonical(plain(value), out, layouts)
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _write_object(value: Mapping, out: list[str]) -> None:
+def _write_object(value: dict, out: list[str], layouts: dict) -> None:
+    keys = tuple(value)
+    layout = layouts.get(keys)
+    if layout is None:
+        # Sorted, checked and escaped once per key set: (key, ',"key":').
+        layout = sorted(keys)
+        for key in layout:
+            if not isinstance(key, str):
+                raise TypeError(f"object keys must be strings, got {key!r}")
+        layout = layouts[keys] = tuple((key, f"{',' if i else ''}{_escape(key)}:")
+                                       for i, key in enumerate(layout))
     out.append("{")
-    for i, key in enumerate(sorted(value)):
-        if not isinstance(key, str):
-            raise TypeError(f"object keys must be strings, got {key!r}")
-        if i:
-            out.append(",")
-        out.append(_escape(key))
-        out.append(":")
-        _write_canonical(value[key], out)
+    for key, prefix in layout:
+        out.append(prefix)
+        _write_canonical(value[key], out, layouts)
     out.append("}")
 
 
-def _write_array(value: Sequence, out: list[str]) -> None:
+def _write_array(value: Sequence, out: list[str], layouts: dict) -> None:
     out.append("[")
     for i, item in enumerate(value):
         if i:
             out.append(",")
-        _write_canonical(item, out)
+        _write_canonical(item, out, layouts)
     out.append("]")
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text (sorted keys, 17-significant-digit floats)."""
+    """Deterministic JSON text (sorted keys, 17-significant-digit floats).
+    Each key set (keys in insertion order) is sorted once per call."""
     out: list[str] = []
-    _write_canonical(value, out)
+    _write_canonical(value, out, {})
     out.append("\n")
     return "".join(out)
 
@@ -384,11 +390,6 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
               if bounds.mode is BoundsMode.DERIVED and topology is not None else None)
     rows = []
     for request in requests:
-        row: dict = {"slice": request.id, "control": request.control,
-                     "status": "ok", "error": None,
-                     "index": None, "index_display": None}
-        for dim in DIMENSIONS:
-            row[dim] = {"r": None, "l": None, "h": None, "value": None}
         try:
             if bounds.mode is BoundsMode.DERIVED:
                 if topology is None:
@@ -403,26 +404,34 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             else:
                 resolved = bounds
         except TnscError as err:
+            row = {"slice": request.id, "control": request.control,
+                   "status": err.reason, "error": err.detail(),
+                   "index": None, "index_display": None}
             for dim in DIMENSIONS:
-                row[dim]["r"] = request.trait(dim)
-            row["status"] = err.reason
-            row["error"] = err.detail()
+                row[dim] = {"r": request.trait(dim), "l": None, "h": None, "value": None}
             rows.append(row)
             continue
 
         # The row shows each value that normalizes; the last failing
         # dimension's error stands, without the slice id the row names.
         assessment = assess(request, resolved, weights)
-        for dim, trait in assessment.traits.items():
-            cell = row[dim]
-            cell["r"], cell["l"], cell["h"], cell["value"] = (
-                trait.raw, trait.l, trait.h, trait.value)
-        for err in assessment.errors:
-            cell = row[err.dimension]
-            cell["r"], cell["l"], cell["h"] = err.r, err.l, err.h
-            row["status"] = "OUT_OF_RANGE"
-            row["error"] = dict(r=err.r, l=err.l, h=err.h, dimension=err.dimension)
-        row.update(_index_fields(assessment.index))
+        if assessment.errors:
+            last = assessment.errors[-1]
+            status, index, display = "OUT_OF_RANGE", None, None
+            error = {"r": last.r, "l": last.l, "h": last.h, "dimension": last.dimension}
+        else:
+            index = assessment.index.value
+            status, error, display = "ok", None, _round3(index)
+        row = {"slice": request.id, "control": request.control, "status": status,
+               "error": error, "index": index, "index_display": display}
+        traits, failed = assessment.traits, iter(assessment.errors)
+        for dim in DIMENSIONS:
+            if dim in traits:
+                r, l, h, value = traits[dim]
+            else:
+                err = next(failed)
+                r, l, h, value = err.r, err.l, err.h, None
+            row[dim] = {"r": r, "l": l, "h": h, "value": value}
         rows.append(row)
     return rows
 

@@ -12,7 +12,10 @@ The ``Fraction`` harmonic merge and the ``isinstance``-chain canonical
 writer are the versions the library's integer merge and type-dispatched
 writer replaced, moved here unchanged. So are ``reference_verify_disjoint``,
 which checks each hop with ``link_between``, and the controller's per-link
-usable-link filter and per-path stale-slice scan. ``reference_srlg_disjoint``
+usable-link filter and per-path stale-slice scan, and the scoring path that
+one range check per dimension replaced: ``reference_normalize_trait``,
+``reference_assess``, ``reference_merge_index`` (over the public, checked
+``harmonic_index``) and ``reference_evaluate``. ``reference_srlg_disjoint``
 is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
 with a fresh budget for every call. That name-keyed view (``adjacency``,
@@ -31,9 +34,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tnsc import AllocationState, DisjointnessMode, NetworkTopology, Path, validate_topology
-from tnsc.controller import LINK_UP
-from tnsc.errors import InsufficientDiversity, NonPositiveWeight
-from tnsc.model import DIMENSIONS
+from tnsc.controller import LINK_UP, ResourceLedger
+from tnsc.errors import (
+    InsufficientDiversity,
+    NonPositiveWeight,
+    OutOfRange,
+    TnscError,
+    ValidationError,
+)
+from tnsc.feasibility import (
+    Assessment,
+    FeasibilityIndex,
+    FeasibilityVector,
+    TraitValue,
+    harmonic_index,
+    normalize_falling,
+)
+from tnsc.model import (
+    DIMENSIONS,
+    Bound,
+    BoundsMode,
+    SliceRequest,
+    TraitBounds,
+    _check_endpoint_ports,
+    derive_bounds,
+    weights_from_dict,
+)
+from tnsc.pathfind import DisjointSearch
+from tnsc.scenario import _index_fields
 
 
 Adjacency = Mapping[str, Sequence[tuple[str, str]]]
@@ -471,6 +499,101 @@ def reference_harmonic_index(values: Sequence[float],
     total_weight = sum(Fraction(w) for w in weights)
     denominator = sum(Fraction(w) / Fraction(v) for w, v in zip(weights, values))
     return float(total_weight / denominator)
+
+
+def reference_normalize_trait(dimension: str, raw: int, bound: Bound) -> TraitValue:
+    """Normalize one numeric trait against its range; OutOfRange propagates."""
+    if bound.h is None:
+        raise ValidationError("bounds", f"bounds for {dimension!r} are unresolved "
+                              "(derived mode requires derive_bounds against a topology)")
+    value = normalize_falling(raw, bound.l, bound.h)
+    return TraitValue(raw=raw, l=bound.l, h=bound.h, value=value)
+
+
+def reference_assess(request: SliceRequest, bounds: TraitBounds,
+                     weights: Mapping[str, float] | None = None) -> Assessment:
+    """``tnsc.feasibility.assess`` through a raised and caught OutOfRange
+    per failing dimension."""
+    traits: dict[str, TraitValue] = {}
+    errors = []
+    for dim in DIMENSIONS:
+        try:
+            traits[dim] = reference_normalize_trait(dim, request.trait(dim),
+                                                    bounds.bound(dim))
+        except OutOfRange as err:
+            errors.append(OutOfRange(err.r, err.l, err.h, dim, request.id))
+    if errors:
+        return Assessment(request.id, traits, tuple(errors))
+    vector = FeasibilityVector(request.id, {"control": request.control}, traits)
+    return Assessment(request.id, traits, (), vector, reference_merge_index(
+        vector, weights if request.weights is None else request.weights))
+
+
+def reference_merge_index(vector: FeasibilityVector,
+                          weights: Mapping[str, float] | None = None) -> FeasibilityIndex:
+    """``tnsc.feasibility.merge_index`` with a fresh unit-weight map and the
+    checked ``harmonic_index``."""
+    resolved = {dim: 1.0 for dim in DIMENSIONS}
+    if weights:
+        resolved.update(weights_from_dict(weights, vector.slice_id))
+    value = harmonic_index(
+        [vector.numeric_traits[dim].value for dim in DIMENSIONS],
+        [resolved[dim] for dim in DIMENSIONS],
+    )
+    return FeasibilityIndex(value=value, weights_used=resolved)
+
+
+def reference_evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
+                       weights: Mapping[str, float] | None = None,
+                       topology: NetworkTopology | None = None,
+                       mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT) -> list[dict]:
+    """``tnsc.scenario.evaluate`` that pre-fills every cell with None and
+    overwrites it from ``reference_assess``."""
+    ledger = (ResourceLedger.from_topology(topology)
+              if bounds.mode is BoundsMode.DERIVED and topology is not None else None)
+    rows = []
+    for request in requests:
+        row: dict = {"slice": request.id, "control": request.control,
+                     "status": "ok", "error": None,
+                     "index": None, "index_display": None}
+        for dim in DIMENSIONS:
+            row[dim] = {"r": None, "l": None, "h": None, "value": None}
+        try:
+            if bounds.mode is BoundsMode.DERIVED:
+                if topology is None:
+                    raise ValidationError("bounds",
+                                          "derived bounds require a topology")
+                # The search rejects endpoints that are not nodes, so the
+                # device checks run first and keep their reasons.
+                _check_endpoint_ports(topology, request)
+                resolved = derive_bounds(
+                    request, DisjointSearch(topology, request.src, request.dst, mode),
+                    ledger.residual_slots, ledger.residual_ports)
+            else:
+                resolved = bounds
+        except TnscError as err:
+            for dim in DIMENSIONS:
+                row[dim]["r"] = request.trait(dim)
+            row["status"] = err.reason
+            row["error"] = err.detail()
+            rows.append(row)
+            continue
+
+        # The row shows each value that normalizes; the last failing
+        # dimension's error stands, without the slice id the row names.
+        assessment = reference_assess(request, resolved, weights)
+        for dim, trait in assessment.traits.items():
+            cell = row[dim]
+            cell["r"], cell["l"], cell["h"], cell["value"] = (
+                trait.raw, trait.l, trait.h, trait.value)
+        for err in assessment.errors:
+            cell = row[err.dimension]
+            cell["r"], cell["l"], cell["h"] = err.r, err.l, err.h
+            row["status"] = "OUT_OF_RANGE"
+            row["error"] = dict(r=err.r, l=err.l, h=err.h, dimension=err.dimension)
+        row.update(_index_fields(assessment.index))
+        rows.append(row)
+    return rows
 
 
 def _format_float(value: float) -> str:

@@ -7,7 +7,11 @@ import pytest
 
 from tnsc import (
     DERIVED_BOUNDS,
+    DIMENSIONS,
     DimensionComparison,
+    FeasibilityIndex,
+    FeasibilityVector,
+    TraitValue,
     assess,
     build_vector,
     compare_dimension,
@@ -286,3 +290,36 @@ class TestCompareDimension:
         v1 = build_vector(ts1, table2_bounds)
         with pytest.raises(UnknownDimension):
             compare_dimension(v1, v1, "colour")
+
+
+class TestValueSemantics:
+    def test_fields_cannot_be_assigned(self):
+        trait = TraitValue(3, 2, 4, 0.5)
+        index = FeasibilityIndex(0.5, {"topology": 1.0})
+        for value, field in ((trait, "value"), (trait, "raw"), (index, "value"),
+                             (index, "weights_used")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0.25)
+
+    def test_construct_by_position_and_keyword(self):
+        trait = TraitValue(3, 2, 4, 0.5)
+        assert trait == TraitValue(raw=3, l=2, h=4, value=0.5)
+        assert (trait.raw, trait.l, trait.h, trait.value) == (3, 2, 4, 0.5)
+        index = FeasibilityIndex(0.5, {"device": 2.0})
+        assert index == FeasibilityIndex(value=0.5, weights_used={"device": 2.0})
+        assert (index.value, index.weights_used) == (0.5, {"device": 2.0})
+
+    def test_vector_rejects_value_outside_unit_interval(self):
+        traits = {dim: TraitValue(2, 2, 4, 1.0) for dim in DIMENSIONS}
+        for bad in (1.5, -0.25, float("nan")):
+            with pytest.raises(OutOfRange) as caught:
+                FeasibilityVector("S", {"control": True},
+                                  {**traits, "device": TraitValue(2, 2, 4, bad)})
+            assert caught.value.dimension == "device"
+
+    def test_vector_rejects_dimension_order(self):
+        traits = {dim: TraitValue(2, 2, 4, 1.0) for dim in reversed(DIMENSIONS)}
+        with pytest.raises(UnknownDimension):
+            FeasibilityVector("S", {"control": True}, traits)
+        with pytest.raises(UnknownDimension):
+            FeasibilityVector("S", {"control": True}, dict(list(traits.items())[:2]))

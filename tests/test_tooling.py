@@ -25,8 +25,8 @@ SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
 DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
-                 "test_merge_differential", "test_shortest_differential",
-                 "test_srlg_differential")
+                 "test_merge_differential", "test_score_differential",
+                 "test_shortest_differential", "test_srlg_differential")
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 #: Functions the paper defines, exported whether or not anything calls them.
 PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")

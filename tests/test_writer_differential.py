@@ -8,12 +8,16 @@ too), floats (-0.0, subnormals, the largest double), ``IntEnum`` and
 ``str`` ``Enum`` members, and strings and keys with non-ASCII, control and
 quote characters. Some values hold an error: an int key, mixed keys, NaN,
 an infinity, a ``set`` or ``bytes``. Both writers must give the same text,
-or raise the same exception type. The goldens' reports and tables go
-through both writers as well.
+or raise the same exception type. The edge cases add one key set in two
+insertion orders and at several depths, and an int key written after an
+equal str key set, since the writer lays out each key set once per call.
+The goldens' reports and tables go through both writers as well, and
+writing a report must leave no garbage cycle.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import OrderedDict
@@ -146,10 +150,31 @@ def test_writer_matches_reference_on_fuzzed_values():
     ({"x": float("-inf")}, "ValueError"),
     ([{1, 2}], "TypeError"),
     (b"x", "TypeError"),
+    # One key set in two insertion orders, and at several depths.
+    ({"x": {"b": 1, "a": 2}, "y": {"a": 3, "b": 4}},
+     '{"x":{"a":2,"b":1},"y":{"a":3,"b":4}}\n'),
+    ({"b": {"b": {"b": 1, "a": 2}, "a": 3}, "a": [{"b": 4, "a": 5}]},
+     '{"a":[{"a":5,"b":4}],"b":{"a":3,"b":{"a":2,"b":1}}}\n'),
+    # Int and str-enum keys after a str key set equal to theirs was written.
+    ([{"1": 0}, {"a": 1}, {1: "a"}], "TypeError"),
+    ([{"red": 0}, {Colour.RED: 1}], '[{"red":0},{"red":1}]\n'),
 ])
 def test_writer_edge_cases(value, outcome):
     assert _outcome(canonical_json, value) == outcome
     assert _outcome(reference_canonical_json, value) == outcome
+
+
+def test_writer_leaves_no_garbage_cycle():
+    """The key layouts live in one call's locals: writing a report leaves
+    nothing for the cyclic collector."""
+    report = report_to_dict(run_scenario(load_scenario(str(DATA / "grid_node_disjoint.json"))))
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_json(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["five_node_failure", "grid_link_disjoint",
