@@ -42,7 +42,6 @@ from .model import (
     Link,
     NetworkTopology,
     Path,
-    PortGroup,
     PortSpec,
     Rejection,
     SliceRequest,

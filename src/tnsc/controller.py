@@ -30,7 +30,6 @@ from .model import (
     BoundsMode,
     NetworkTopology,
     Path,
-    PortSpec,
     Rejection,
     SliceRequest,
     TraitBounds,
@@ -56,6 +55,11 @@ class FailurePolicy(str, Enum):
 class ReconfigPolicy:
     order: ReconfigOrder = ReconfigOrder.DESCENDING_INDEX
     on_failure: FailurePolicy = FailurePolicy.MARK_DEGRADED
+
+    def __post_init__(self) -> None:
+        # A member passes unchanged; an unknown value raises ValueError.
+        object.__setattr__(self, "order", ReconfigOrder(self.order))
+        object.__setattr__(self, "on_failure", FailurePolicy(self.on_failure))
 
 
 class EventKind(str, Enum):
@@ -97,13 +101,11 @@ class ResourceLedger:
 
     @classmethod
     def from_topology(cls, topology: NetworkTopology) -> "ResourceLedger":
-        ports: dict[tuple[str, str, float], int] = {}
-        for device in topology.devices:
-            for group in device.port_groups:
-                ports[(device.node, group.port_type, group.gbps)] = group.count
         return cls(
             residual_slots={link.id: link.slot_capacity for link in topology.links},
-            residual_ports=ports,
+            residual_ports={(device.node, group.port_type, group.gbps): group.count
+                            for device in topology.devices
+                            for group in device.port_groups},
             link_state={link.id: LINK_UP for link in topology.links},
             control_contexts={},
         )
@@ -150,7 +152,7 @@ class Controller:
     ):
         self.topology = topology
         self.bounds = bounds
-        self.mode = mode
+        self.mode = DisjointnessMode(mode)
         self.policy = policy
         self.control_context_limit = control_context_limit
         self.ledger = ResourceLedger.from_topology(topology)
@@ -229,10 +231,7 @@ class Controller:
             for link_id in path.links:
                 slots[link_id] = request.calendar_slots
                 self.ledger.residual_slots[link_id] -= request.calendar_slots
-        ports = {
-            node: PortSpec(spec.port_type, spec.gbps, spec.count)
-            for node in (request.src, request.dst)
-        }
+        ports = dict.fromkeys((request.src, request.dst), spec)
         for node in ports:
             self.ledger.residual_ports[(node, spec.port_type, spec.gbps)] -= spec.count
         context = None
@@ -355,9 +354,10 @@ class Controller:
         Stale holdings are released first, then slices are re-admitted in
         policy order using their feasibility index as of this moment.
         Per-slice failures become report entries; the batch never aborts.
+        A repeated id counts once, where it first appears.
         """
         targets = [
-            slice_id for slice_id in affected
+            slice_id for slice_id in dict.fromkeys(affected)
             if (record := self.records.get(slice_id)) is not None
             and record.stale and record.state is AllocationState.ACTIVE
         ]
@@ -422,7 +422,7 @@ class Controller:
             for group in device.port_groups:
                 key = (device.node, group.port_type, group.gbps)
                 residual = self.ledger.residual_ports[key]
-                groups[f"{group.port_type}@{group.gbps:g}"] = {
+                groups[group.label] = {
                     "inventory": group.count,
                     "residual": residual,
                     "used": group.count - residual,

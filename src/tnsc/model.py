@@ -42,12 +42,19 @@ DIMENSION_FLOORS = {"topology": 2, "device": 1, "data_plane": 1}
 
 
 @dataclass(frozen=True)
-class PortGroup:
-    """Inventory of interchangeable client ports of one type and bitrate."""
+class PortSpec:
+    """Count client ports of one type and bitrate: a slice's demand, or a
+    device's inventory of interchangeable ports."""
 
     port_type: str
     gbps: float
     count: int
+
+    @property
+    def label(self) -> str:
+        """The kind's name in reports. ``:g`` rounds near-equal bitrates
+        alike, so match on ``(port_type, gbps)``, never on the label."""
+        return f"{self.port_type}@{self.gbps:g}"
 
 
 @dataclass(frozen=True)
@@ -67,13 +74,7 @@ class DeviceProfile:
     """Client-port inventory of the device at one node."""
 
     node: str
-    port_groups: tuple[PortGroup, ...]
-
-    def matching_group(self, port_type: str, gbps: float) -> PortGroup | None:
-        for group in self.port_groups:
-            if group.port_type == port_type and group.gbps == gbps:
-                return group
-        return None
+    port_groups: tuple[PortSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,6 @@ class NetworkTopology:
     @cached_property
     def device_by_node(self) -> Mapping[str, DeviceProfile]:
         return {device.node: device for device in self.devices}
-
-
-@dataclass(frozen=True)
-class PortSpec:
-    """Client-port demand of a slice: count ports of one type and bitrate."""
-
-    port_type: str
-    gbps: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -176,6 +168,8 @@ class TraitBounds:
     data_plane: Bound
 
     def __post_init__(self) -> None:
+        # A member passes unchanged; an unknown value raises ValueError.
+        object.__setattr__(self, "mode", BoundsMode(self.mode))
         for dim in DIMENSIONS:
             bound = self.bound(dim)
             floor = DIMENSION_FLOORS[dim]
@@ -371,8 +365,7 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
         node = entry.get("node")
         _require(isinstance(node, str) and node in nodes, DanglingEndpoint, str(node))
         _require(node not in seen_device_nodes, DuplicateId, node)
-        groups: list[PortGroup] = []
-        seen_kinds: set[tuple[str, str]] = set()  # as the snapshot names groups
+        groups: dict[str, PortSpec] = {}  # keyed as the snapshot names groups
         for port in _as_list(entry.get("ports", []), node, "ports"):
             port = _as_object(port, node, "port group")
             port_type = _as_name(port.get("type"), node, "port type")
@@ -381,12 +374,12 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
                                 "port gbps must be a finite number > 0")
             count = _as_int(port.get("count"), where, "port count")
             _require(count >= 1, InvalidCapacity, where, "port count must be >= 1")
-            kind = (port_type, f"{gbps:g}")
-            _require(kind not in seen_kinds, DuplicateId, f"{where}@{kind[1]}")
-            seen_kinds.add(kind)
-            groups.append(PortGroup(port_type=port_type, gbps=gbps, count=count))
+            group = PortSpec(port_type=port_type, gbps=gbps, count=count)
+            label = group.label
+            _require(label not in groups, DuplicateId, f"{node}:{label}")
+            groups[label] = group
         seen_device_nodes.add(node)
-        devices.append(DeviceProfile(node=node, port_groups=tuple(groups)))
+        devices.append(DeviceProfile(node=node, port_groups=tuple(groups.values())))
 
     return NetworkTopology(nodes=frozenset(nodes), links=tuple(links),
                            devices=tuple(devices))
@@ -462,7 +455,8 @@ def _check_endpoint_ports(topology: NetworkTopology, request: SliceRequest) -> N
         device = topology.device_by_node.get(node)
         if device is None:
             raise NoDevice(node)
-        if device.matching_group(spec.port_type, spec.gbps) is None:
+        if not any(group.port_type == spec.port_type and group.gbps == spec.gbps
+                   for group in device.port_groups):
             raise NoMatchingPorts(node, spec.port_type, spec.gbps)
 
 

@@ -193,7 +193,7 @@ class DisjointSearch:
         self.topology = topology
         self.src = src
         self.dst = dst
-        self.mode = mode
+        self.mode = mode = DisjointnessMode(mode)
         self.usable = _resolve_usable(topology, usable_links)
         self.srlg_budget = srlg_budget
         self._flow = 0
@@ -412,6 +412,7 @@ def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],
     disjointness for the given mode. Deliberately shares nothing with the
     search routines above so it can vouch for their output.
     """
+    mode = DisjointnessMode(mode)
     if not paths:
         return False
     for path in paths:

@@ -246,9 +246,7 @@ _ENTRY_KEYS = (
 
 
 def _entry(**fields) -> dict:
-    entry = {key: None for key in _ENTRY_KEYS}
-    entry.update(fields)
-    return entry
+    return dict.fromkeys(_ENTRY_KEYS) | fields
 
 
 def _paths_payload(paths: Sequence[Path] | None):
@@ -284,38 +282,37 @@ def _index_fields(index: FeasibilityIndex | None) -> dict:
     return {"index": index.value, "index_display": _round3(index.value)}
 
 
+def _decision_fields(decision: AllocationRecord | ReconfigEntry,
+                     request: SliceRequest) -> dict:
+    """The fields an admit and a reconfigure entry share: the request, and
+    the decision's rejection, vector and index."""
+    rejection = decision.rejection
+    return {
+        "reason": rejection.reason if rejection else None,
+        "detail": dict(rejection.detail) if rejection else None,
+        "request": _request_payload(request),
+        "vector": _vector_payload(decision.vector),
+        **_index_fields(decision.index),
+    }
+
+
 def _arrival_entry(event: Event, record: AllocationRecord) -> dict:
-    rejection = record.rejection
     return _entry(
-        seq=event.seq,
-        event=event.kind.value,
-        action="admit",
-        slice=record.slice_id,
-        outcome=record.state.value,
-        reason=rejection.reason if rejection else None,
-        detail=dict(rejection.detail) if rejection else None,
-        request=_request_payload(event.request),
-        vector=_vector_payload(record.vector),
+        seq=event.seq, event=event.kind.value, action="admit",
+        slice=record.slice_id, outcome=record.state.value,
         paths=_paths_payload(record.paths),
-        **_index_fields(record.index),
+        **_decision_fields(record, event.request),
     )
 
 
 def _reconfig_entry(seq: int, event_kind: str, request: SliceRequest,
                     outcome: ReconfigEntry) -> dict:
     return _entry(
-        seq=seq,
-        event=event_kind,
-        action="reconfigure",
-        slice=outcome.slice_id,
-        outcome=outcome.outcome,
-        reason=outcome.rejection.reason if outcome.rejection else None,
-        detail=dict(outcome.rejection.detail) if outcome.rejection else None,
-        request=_request_payload(request),
-        vector=_vector_payload(outcome.vector),
+        seq=seq, event=event_kind, action="reconfigure",
+        slice=outcome.slice_id, outcome=outcome.outcome,
         old_paths=_paths_payload(outcome.old_paths),
         new_paths=_paths_payload(outcome.new_paths),
-        **_index_fields(outcome.index),
+        **_decision_fields(outcome, request),
     )
 
 
@@ -332,33 +329,26 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     for event in scenario.events:
         if event.kind is EventKind.REQUEST_ARRIVAL:
             controller.apply_event(event)
-            record = controller.records[event.request.id]
-            entries.append(_arrival_entry(event, record))
+            entries.append(_arrival_entry(event, controller.records[event.request.id]))
         elif event.kind is EventKind.REQUEST_RELEASE:
+            outcome, reason, detail = "released", None, None
             try:
                 controller.apply_event(event)
-                entries.append(_entry(
-                    seq=event.seq, event=event.kind.value, action="release",
-                    slice=event.slice_id, outcome="released"))
             except TnscError as err:
-                entries.append(_entry(
-                    seq=event.seq, event=event.kind.value, action="release",
-                    slice=event.slice_id, outcome="error",
-                    reason=err.reason, detail=err.detail()))
-        elif event.kind is EventKind.LINK_DOWN:
+                outcome, reason, detail = "error", err.reason, err.detail()
+            entries.append(_entry(
+                seq=event.seq, event=event.kind.value, action="release",
+                slice=event.slice_id, outcome=outcome, reason=reason, detail=detail))
+        else:
             affected = controller.apply_event(event)
             entries.append(_entry(
-                seq=event.seq, event=event.kind.value, action="link_down",
-                slice=None, outcome="applied", affected=list(affected)))
-            for outcome in controller.reconfigure(affected):
-                entries.append(_reconfig_entry(
-                    event.seq, event.kind.value,
-                    controller.requests[outcome.slice_id], outcome))
-        else:
-            controller.apply_event(event)
-            entries.append(_entry(
-                seq=event.seq, event=event.kind.value, action="link_up",
-                slice=None, outcome="applied", affected=[]))
+                seq=event.seq, event=event.kind.value, action=event.kind.value,
+                outcome="applied", affected=list(affected)))
+            if event.kind is EventKind.LINK_DOWN:
+                for outcome in controller.reconfigure(affected):
+                    entries.append(_reconfig_entry(
+                        event.seq, event.kind.value,
+                        controller.requests[outcome.slice_id], outcome))
     return ScenarioReport(entries=tuple(entries), snapshot=controller.snapshot())
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,8 +25,8 @@ from tnsc.errors import (
     UnknownSlice,
 )
 
-from tnsc import (DisjointSearch, bounds_from_dict, k_disjoint_paths, max_disjoint_count,
-                  pathfind, rank, rank_rows)
+from tnsc import (DisjointSearch, bounds_from_dict, k_disjoint_paths, load_scenario,
+                  max_disjoint_count, pathfind, rank, rank_rows)
 from tnsc import controller as controller_module
 from tnsc import feasibility
 from tnsc.feasibility import Assessment, FeasibilityIndex
@@ -33,6 +34,7 @@ from tnsc.feasibility import Assessment, FeasibilityIndex
 from .conftest import assert_conserved, make_request, make_topology
 from .oracles import random_connected_topology
 
+DATA = Path(__file__).parent / "data"
 NODE = DisjointnessMode.NODE_DISJOINT
 LINK = DisjointnessMode.LINK_DISJOINT
 SRLG = DisjointnessMode.SRLG_DISJOINT
@@ -331,6 +333,31 @@ class TestReconfigure:
 
     def test_empty_affected_list(self, theta):
         assert node_controller(theta).reconfigure([]) == []
+
+    @pytest.mark.parametrize("repeat", [lambda ids: ids * 2,
+                                        lambda ids: ids[::-1] + ids],
+                             ids=["twice", "reversed-then-forward"])
+    def test_repeated_ids_count_once(self, repeat):
+        """The golden scenario up to its link_down, then a list repeating
+        each affected id: it must reconfigure as the unique list does, not
+        raise AlreadyReleased after every slice was released."""
+        scenario = load_scenario(str(DATA / "five_node_failure.json"))
+
+        def after_failure():
+            controller = Controller(scenario.topology, scenario.bounds,
+                                    scenario.mode, scenario.policy)
+            for event in scenario.events:
+                affected = controller.apply_event(event)
+                if event.kind is EventKind.LINK_DOWN:
+                    return controller, affected
+
+        unique, affected = after_failure()
+        repeated, _ = after_failure()
+        assert affected == ["TS_1", "TS_2"]
+        assert repeated.reconfigure(repeat(affected)) == unique.reconfigure(affected)
+        assert repeated.records == unique.records
+        assert repeated.ledger == unique.ledger
+        assert_conserved(repeated)
 
     def test_degraded_slice_can_release(self, theta, ts1, ts2):
         controller = node_controller(theta)

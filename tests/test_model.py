@@ -5,16 +5,22 @@ import random
 import pytest
 
 from tnsc import (
+    DERIVED_BOUNDS,
+    AllocationState,
     Bound,
     BoundsMode,
+    Controller,
     DisjointSearch,
     DisjointnessMode,
     Path,
+    PortSpec,
     ResourceLedger,
+    SliceRequest,
     TraitBounds,
     bounds_from_dict,
     build_vector,
     derive_bounds,
+    evaluate,
     max_disjoint_count,
     validate_topology,
 )
@@ -214,6 +220,67 @@ def fresh_view(topology, request, mode=DisjointnessMode.LINK_DISJOINT):
     ledger = ResourceLedger.from_topology(topology)
     return (DisjointSearch(topology, request.src, request.dst, mode),
             ledger.residual_slots, ledger.residual_ports)
+
+
+TWO_RATES = [{"type": "10GE", "gbps": 10, "count": 24},
+             {"type": "10GE", "gbps": 100, "count": 6}]
+
+
+def port_cycle(ports=TWO_RATES):
+    """The four-cycle with the same port groups at A and C."""
+    return validate_topology(dict(FOUR_CYCLE, devices=[
+        {"node": node, "ports": ports} for node in "AC"]))
+
+
+def port_request(port_type, gbps, count=2):
+    return SliceRequest(id="TS_1", src="A", dst="C", control=False,
+                        disjoint_paths=2, client_ports=PortSpec(port_type, gbps, count),
+                        calendar_slots=1)
+
+
+class TestExactPortMatching:
+    """A demand is served only by a group of its own type and bitrate."""
+
+    def test_demand_takes_its_own_rate(self):
+        topology = port_cycle()
+        request = port_request("10GE", 100.0)
+        assert derive_bounds(request, *fresh_view(topology, request)).device \
+            == Bound(1, 6)
+        controller = Controller(topology)
+        record = controller.admit(request)
+        assert record.state is AllocationState.ACTIVE
+        assert record.ports_per_device == {"A": request.client_ports,
+                                           "C": request.client_ports}
+        assert controller.ledger.residual_ports[("A", "10GE", 100.0)] == 4
+        assert controller.ledger.residual_ports[("A", "10GE", 10.0)] == 24
+
+    def test_rate_no_group_offers(self):
+        topology = port_cycle()
+        request = port_request("10GE", 40.0)
+        with pytest.raises(NoMatchingPorts) as err:
+            derive_bounds(request, *fresh_view(topology, request))
+        assert err.value.detail() == {"node": "A", "port_type": "10GE", "gbps": 40.0}
+        [row] = evaluate([request], DERIVED_BOUNDS, topology=topology)
+        assert row["status"] == "NoMatchingPorts"
+        assert row["error"] == err.value.detail()
+        assert row["index"] is None
+
+    def test_near_equal_rate_is_another_kind(self):
+        topology = port_cycle([{"type": "GE", "gbps": 100.0000001, "count": 4}])
+        request = port_request("GE", 100.0)
+        controller = Controller(topology)
+        assert list(controller.snapshot()["devices"]["A"]) == ["GE@100"]
+        with pytest.raises(NoMatchingPorts):
+            derive_bounds(request, *fresh_view(topology, request))
+        assert controller.admit(request).rejection.reason == "PortExhausted"
+
+    def test_snapshot_names_each_group(self):
+        controller = Controller(port_cycle())
+        controller.admit(port_request("10GE", 100.0))
+        assert controller.snapshot()["devices"]["A"] == {
+            "10GE@10": {"inventory": 24, "residual": 24, "used": 0},
+            "10GE@100": {"inventory": 6, "residual": 4, "used": 2},
+        }
 
 
 class TestDeriveBounds:

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tnsc import (
+    DERIVED_BOUNDS,
+    Bound,
+    Controller,
+    DisjointSearch,
+    DisjointnessMode,
     PortSpec,
+    ReconfigPolicy,
     SliceRequest,
+    TraitBounds,
     canonical_json,
     evaluate,
     load_scenario,
@@ -18,6 +26,8 @@ from tnsc import (
     rows_to_csv,
     run_scenario,
     scenario_from_dict,
+    validate_topology,
+    verify_disjoint,
 )
 from tnsc.errors import ParseError, ValidationError
 from tnsc.model import DIMENSIONS
@@ -219,6 +229,52 @@ class TestGoldenReport:
                    for entry in report.entries)
         golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
         assert report_to_json(report) == golden
+
+
+class TestEnumValuesAsStrings:
+    """Each enum parameter may be given as its string value."""
+
+    @pytest.mark.parametrize("name", ["five_node_failure", "grid_node_disjoint",
+                                      "grid_link_disjoint"])
+    def test_golden_reports(self, name):
+        scenario = load_scenario(str(DATA / f"{name}.json"))
+        policy = scenario.policy
+        plain = replace(
+            scenario, mode=scenario.mode.value,
+            bounds=replace(scenario.bounds, mode=scenario.bounds.mode.value),
+            policy=ReconfigPolicy(policy.order.value, policy.on_failure.value))
+        assert type(plain.mode) is str
+        golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
+        assert report_to_json(run_scenario(plain)) == golden
+
+    def test_evaluate_mode(self):
+        # Every A-C route crosses M: two link-disjoint paths, one node-disjoint.
+        topology = validate_topology({
+            "nodes": list("AXYMPQC"),
+            "links": [{"id": f"L_{a}{b}", "a": a, "b": b}
+                      for a, b in ("AX", "AY", "XM", "YM", "MP", "MQ", "PC", "QC")],
+            "devices": [{"node": node, "ports": [{"type": "10GE", "gbps": 10,
+                                                  "count": 30}]} for node in "AC"],
+        })
+        rows = evaluate([make_request()], DERIVED_BOUNDS, topology=topology,
+                        mode="node_disjoint")
+        assert rows[0]["topology"]["h"] == 1
+        assert rows == evaluate([make_request()], DERIVED_BOUNDS, topology=topology,
+                                mode=DisjointnessMode.NODE_DISJOINT)
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda t: Controller(t, mode="bogus"), "DisjointnessMode"),
+        (lambda t: DisjointSearch(t, "A", "C", "bogus"), "DisjointnessMode"),
+        (lambda t: verify_disjoint(t, [], "bogus"), "DisjointnessMode"),
+        (lambda t: ReconfigPolicy(order="bogus"), "ReconfigOrder"),
+        (lambda t: ReconfigPolicy(on_failure="bogus"), "FailurePolicy"),
+        (lambda t: TraitBounds("bogus", Bound(2, 4), Bound(1, 24), Bound(1, 20)),
+         "BoundsMode"),
+    ], ids=["controller", "search", "verify", "order", "on_failure", "bounds"])
+    def test_unknown_value_raises(self, build, kind):
+        topology = load_scenario(str(DATA / "five_node_failure.json")).topology
+        with pytest.raises(ValueError, match=f"'bogus' is not a valid {kind}"):
+            build(topology)
 
 
 class TestEvaluate:

@@ -1,9 +1,12 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
 module and name and counts rejections by reason name, so renaming or moving
-either must fail here, not first in a traced benchmark run. The package's modules must also import each other
-without a cycle at run time, the README's library example must run,
-each differential test's documented full-run command must run, and every
-public name must have a user."""
+either must fail here, not first in a traced benchmark run. Its event driver
+(``perfbench/drive.py``) builds report entries with the scenario module's
+private entry builders, so it must reproduce the golden report here too.
+The package's modules must also import each other without a cycle at run
+time, the README's library example must run, each differential test's
+documented full-run command must run, and every public name must have a
+user."""
 
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
 DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
@@ -32,15 +34,17 @@ TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load_perfbench(name: str):
+    """Load ``perfbench/<name>.py`` by path; perfbench is not a package."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_entry_points_resolve():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     assert spans.ENTRY_POINTS
     for module_name, attr, _counter in spans.ENTRY_POINTS:
         target = importlib.import_module(f"tnsc.{module_name}")
@@ -53,12 +57,18 @@ def test_traced_entry_points_resolve():
 def test_reject_reasons_are_error_classes():
     """Each rejection counter the tracer names must be a reason the
     controller can record, that is, a TnscError subclass."""
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     errors = importlib.import_module("tnsc.errors")
     assert spans.REJECT_REASONS
     for name in spans.REJECT_REASONS:
         cls = getattr(errors, name, None)
         assert isinstance(cls, type) and issubclass(cls, errors.TnscError), name
+
+
+def test_benchmark_driver_reproduces_golden():
+    """The benchmark checks this before it times anything; a reshaped entry
+    builder must fail here first."""
+    assert _load_perfbench("drive").check_golden(ROOT)
 
 
 def _runtime_imports(node: ast.AST) -> set[str]:
