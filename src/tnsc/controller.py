@@ -69,6 +69,11 @@ class EventKind(str, Enum):
     LINK_UP = "link_up"
 
 
+#: The field that carries each kind of event's payload.
+_PAYLOAD = {EventKind.REQUEST_ARRIVAL: "request", EventKind.REQUEST_RELEASE: "slice_id",
+            EventKind.LINK_DOWN: "link_id", EventKind.LINK_UP: "link_id"}
+
+
 @dataclass(frozen=True)
 class Event:
     """One step of a scenario; seq values must strictly increase."""
@@ -80,13 +85,9 @@ class Event:
     link_id: str | None = None
 
     def __post_init__(self) -> None:
-        needs = {
-            EventKind.REQUEST_ARRIVAL: self.request is not None,
-            EventKind.REQUEST_RELEASE: self.slice_id is not None,
-            EventKind.LINK_DOWN: self.link_id is not None,
-            EventKind.LINK_UP: self.link_id is not None,
-        }
-        if not needs[self.kind]:
+        # A member passes unchanged; an unknown value raises ValueError.
+        object.__setattr__(self, "kind", EventKind(self.kind))
+        if getattr(self, _PAYLOAD[self.kind]) is None:
             raise ValueError(f"event {self.seq} lacks the {self.kind.value} payload")
 
 
@@ -226,29 +227,19 @@ class Controller:
             return self._rejected(request, assessment.errors[0])
 
         # Commit point: every check passed, debit atomically.
-        slots: dict[str, int] = {}
-        for path in paths:
-            for link_id in path.links:
-                slots[link_id] = request.calendar_slots
-                self.ledger.residual_slots[link_id] -= request.calendar_slots
-        ports = dict.fromkeys((request.src, request.dst), spec)
-        for node in ports:
-            self.ledger.residual_ports[(node, spec.port_type, spec.gbps)] -= spec.count
-        context = None
-        if request.control:
-            context = f"ctx-{request.id}"
-            self.ledger.control_contexts[request.id] = context
-
-        return AllocationRecord(
+        record = AllocationRecord(
             slice_id=request.id,
             state=AllocationState.ACTIVE,
             paths=tuple(paths),
-            slots_per_link=slots,
-            ports_per_device=ports,
-            control_context=context,
+            slots_per_link=dict.fromkeys([link for path in paths for link in path.links],
+                                         request.calendar_slots),
+            ports_per_device=dict.fromkeys((request.src, request.dst), spec),
+            control_context=f"ctx-{request.id}" if request.control else None,
             vector=assessment.vector,
             index=assessment.index,
         )
+        self._book(record, -1)
+        return record
 
     def _search(self, request: SliceRequest, usable: frozenset[str]) -> DisjointSearch:
         return DisjointSearch(self.topology, request.src, request.dst, self.mode,
@@ -300,17 +291,23 @@ class Controller:
         if record.state in (AllocationState.RELEASED, AllocationState.REJECTED):
             raise AlreadyReleased(slice_id)
         if record.state is AllocationState.ACTIVE:
-            self._credit(record)
+            self._book(record, +1)
         released = replace(record, state=AllocationState.RELEASED, stale=False)
         self.records[slice_id] = released
         return released
 
-    def _credit(self, record: AllocationRecord) -> None:
+    def _book(self, record: AllocationRecord, sign: int) -> None:
+        """Debit (sign -1) or credit (+1) everything an active record holds.
+        The only code that writes the residual maps and the contexts."""
+        ledger = self.ledger
         for link_id, slots in record.slots_per_link.items():
-            self.ledger.residual_slots[link_id] += slots
+            ledger.residual_slots[link_id] += sign * slots
         for node, spec in record.ports_per_device.items():
-            self.ledger.residual_ports[(node, spec.port_type, spec.gbps)] += spec.count
-        self.ledger.control_contexts.pop(record.slice_id, None)
+            ledger.residual_ports[(node, spec.port_type, spec.gbps)] += sign * spec.count
+        if sign < 0 and record.control_context is not None:
+            ledger.control_contexts[record.slice_id] = record.control_context
+        elif sign > 0:
+            ledger.control_contexts.pop(record.slice_id, None)
 
     # -- events -------------------------------------------------------------
 
@@ -362,12 +359,8 @@ class Controller:
             and record.stale and record.state is AllocationState.ACTIVE
         ]
 
-        old = {slice_id: self.records[slice_id] for slice_id in targets}
-        for slice_id in targets:
-            self.release(slice_id)
-
-        appraisals = {slice_id: self._appraisal(self.records[slice_id])
-                      for slice_id in targets}
+        released = {slice_id: self.release(slice_id) for slice_id in targets}
+        appraisals = {slice_id: self._appraisal(record) for slice_id, record in released.items()}
         # Static bounds ignore the ledger, so readmission reuses the appraisal.
         reuse = appraisals if self.bounds.mode is BoundsMode.STATIC else {}
 
@@ -393,7 +386,7 @@ class Controller:
             appraisal = appraisals[slice_id]
             entries.append(ReconfigEntry(
                 slice_id=slice_id,
-                old_paths=old[slice_id].paths,
+                old_paths=released[slice_id].paths,
                 new_paths=record.paths,
                 vector=appraisal.vector,
                 index=appraisal.index,

@@ -12,6 +12,8 @@ from tnsc import (
     Controller,
     DisjointSearch,
     DisjointnessMode,
+    Event,
+    EventKind,
     PortSpec,
     ReconfigPolicy,
     SliceRequest,
@@ -29,7 +31,7 @@ from tnsc import (
     validate_topology,
     verify_disjoint,
 )
-from tnsc.errors import ParseError, ValidationError
+from tnsc.errors import ParseError, TnscError, ValidationError
 from tnsc.model import DIMENSIONS
 
 from .conftest import make_request
@@ -270,11 +272,37 @@ class TestEnumValuesAsStrings:
         (lambda t: ReconfigPolicy(on_failure="bogus"), "FailurePolicy"),
         (lambda t: TraitBounds("bogus", Bound(2, 4), Bound(1, 24), Bound(1, 20)),
          "BoundsMode"),
-    ], ids=["controller", "search", "verify", "order", "on_failure", "bounds"])
+        (lambda t: Event(seq=1, kind="bogus", link_id="L_BC"), "EventKind"),
+    ], ids=["controller", "search", "verify", "order", "on_failure", "bounds", "event"])
     def test_unknown_value_raises(self, build, kind):
         topology = load_scenario(str(DATA / "five_node_failure.json")).topology
         with pytest.raises(ValueError, match=f"'bogus' is not a valid {kind}"):
             build(topology)
+
+    @pytest.mark.parametrize("name", ["five_node_failure", "grid_node_disjoint",
+                                      "grid_link_disjoint"])
+    def test_event_kinds(self, name):
+        """Events whose kind is the string value move the controller
+        exactly as the members do."""
+        scenario = load_scenario(str(DATA / f"{name}.json"))
+        runs = []
+        for events in (scenario.events,
+                       [replace(event, kind=event.kind.value) for event in scenario.events]):
+            controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
+                                    scenario.policy)
+            affected = []
+            for event in events:
+                try:
+                    affected.append(controller.apply_event(event))
+                except TnscError as err:
+                    affected.append(err.reason)
+            runs.append((affected, controller.records, controller.ledger))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in EventKind])
+    def test_event_without_payload_raises(self, kind):
+        with pytest.raises(ValueError, match=f"event 1 lacks the {kind} payload"):
+            Event(seq=1, kind=kind)
 
 
 class TestEvaluate:

@@ -2,11 +2,12 @@
 module and name and counts rejections by reason name, so renaming or moving
 either must fail here, not first in a traced benchmark run. Its event driver
 (``perfbench/drive.py``) builds report entries with the scenario module's
-private entry builders, so it must reproduce the golden report here too.
+private entry builders, so it must reproduce the golden reports here too.
 The package's modules must also import each other without a cycle at run
 time, the README's library example must run, each differential test's
-documented full-run command must run, and every public name must have a
-user."""
+documented full-run command must run, every public name must have a
+user, and only the controller's booking rule may write the ledger's
+residual maps and control contexts."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
+DATA = ROOT / "tests" / "data"
+GOLDENS = ("five_node_failure", "grid_node_disjoint", "grid_link_disjoint")
 DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
                  "test_merge_differential", "test_score_differential",
                  "test_shortest_differential", "test_srlg_differential")
@@ -67,8 +70,19 @@ def test_reject_reasons_are_error_classes():
 
 def test_benchmark_driver_reproduces_golden():
     """The benchmark checks this before it times anything; a reshaped entry
-    builder must fail here first."""
-    assert _load_perfbench("drive").check_golden(ROOT)
+    builder must fail here first. ``check_golden`` covers one scenario, so
+    every golden is also played here, each event sent to ``Round.step``:
+    ``should_send`` would skip the grids' releases of rejected slices."""
+    from tnsc import load_scenario
+
+    drive = _load_perfbench("drive")
+    assert drive.check_golden(ROOT)
+    for name in GOLDENS:
+        current = drive.Round(load_scenario(str(DATA / f"{name}.json")))
+        for event in current.events:
+            current.step(event)
+        golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
+        assert current.report_json() == golden, name
 
 
 def _runtime_imports(node: ast.AST) -> set[str]:
@@ -168,3 +182,49 @@ def test_every_export_has_a_user():
               if not inspect.ismodule(getattr(tnsc, name))
               and name not in used and name not in PAPER_FUNCTIONS]
     assert unused == []
+
+
+LEDGER_MAPS = {"residual_slots", "residual_ports", "control_contexts"}
+MUTATORS = {"pop", "update", "setdefault", "clear"}
+
+
+def _names_ledger_map(target: ast.AST) -> bool:
+    """``<expr>.<map>``, an item of it, or an unpacking that holds one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(map(_names_ledger_map, target.elts))
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr in LEDGER_MAPS
+
+
+def _ledger_writers(tree: ast.AST, scope: str) -> set[str]:
+    """Qualified names of the functions whose own code assigns to,
+    augments, deletes from or calls a mutating method on a ledger map."""
+    found: set[str] = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _ledger_writers(node, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            targets = [node.func.value]
+        else:
+            targets = []
+        if any(map(_names_ledger_map, targets)):
+            found.add(scope)
+        found |= _ledger_writers(node, scope)
+    return found
+
+
+def test_ledger_has_one_writer():
+    """Admission debits and release credits through ``Controller._book``
+    alone, so a new ledger writer, or a cache kept beside the ledger, must
+    hook in there."""
+    writers: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        writers |= _ledger_writers(ast.parse(path.read_text()), path.stem)
+    assert writers == {"controller.Controller._book"}
