@@ -8,12 +8,12 @@ between threads and makes scenario replay deterministic.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -41,10 +41,10 @@ DIMENSIONS = ("topology", "device", "data_plane")
 DIMENSION_FLOORS = {"topology": 2, "device": 1, "data_plane": 1}
 
 
-@dataclass(frozen=True)
-class PortSpec:
+class PortSpec(NamedTuple):
     """Count client ports of one type and bitrate: a slice's demand, or a
-    device's inventory of interchangeable ports."""
+    device's inventory of interchangeable ports. A named tuple: immutable,
+    and equal to a plain ``(port_type, gbps, count)`` tuple."""
 
     port_type: str
     gbps: float
@@ -98,15 +98,7 @@ class NetworkTopology:
         return {device.node: device for device in self.devices}
 
 
-@dataclass(frozen=True)
-class SliceRequest:
-    """Transport-slice request with its four isolation traits.
-
-    ``control`` is the Boolean control-plane trait; ``disjoint_paths``,
-    ``client_ports.count`` and ``calendar_slots`` are the numeric topology,
-    device and data-plane traits.
-    """
-
+class _RequestFields(NamedTuple):
     id: str
     src: str
     dst: str
@@ -116,17 +108,38 @@ class SliceRequest:
     calendar_slots: int
     weights: Mapping[str, float] | None = None
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValidationError(self.id, "src and dst must differ")
-        if self.disjoint_paths < DIMENSION_FLOORS["topology"]:
-            raise ValidationError(self.id, "disjoint_paths must be at least 2")
-        if self.client_ports.count < DIMENSION_FLOORS["device"]:
-            raise ValidationError(self.id, "client port count must be at least 1")
-        if self.calendar_slots < DIMENSION_FLOORS["data_plane"]:
-            raise ValidationError(self.id, "calendar_slots must be at least 1")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", weights_from_dict(self.weights, self.id))
+
+class SliceRequest(_RequestFields):
+    """Transport-slice request with its four isolation traits.
+
+    ``control`` is the Boolean control-plane trait; ``disjoint_paths``,
+    ``client_ports.count`` and ``calendar_slots`` are the numeric topology,
+    device and data-plane traits. A named tuple, equal to a plain tuple of
+    its eight fields, whose constructor checks the request; ``_replace``
+    and ``_make`` go through the constructor, so they check it again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, src: str, dst: str, control: bool, disjoint_paths: int,
+                client_ports: PortSpec, calendar_slots: int,
+                weights: Mapping[str, float] | None = None) -> SliceRequest:
+        if src == dst:
+            raise ValidationError(id, "src and dst must differ")
+        if disjoint_paths < DIMENSION_FLOORS["topology"]:
+            raise ValidationError(id, "disjoint_paths must be at least 2")
+        if client_ports.count < DIMENSION_FLOORS["device"]:
+            raise ValidationError(id, "client port count must be at least 1")
+        if calendar_slots < DIMENSION_FLOORS["data_plane"]:
+            raise ValidationError(id, "calendar_slots must be at least 1")
+        if weights is not None:
+            weights = weights_from_dict(weights, id)
+        return tuple.__new__(cls, (id, src, dst, control, disjoint_paths, client_ports,
+                                   calendar_slots, weights))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SliceRequest:
+        return cls(*iterable)
 
     def trait(self, dimension: str) -> int:
         if dimension == "topology":

@@ -15,7 +15,10 @@ which checks each hop with ``link_between``, and the controller's per-link
 usable-link filter and per-path stale-slice scan, and the scoring path that
 one range check per dimension replaced: ``reference_normalize_trait``,
 ``reference_assess``, ``reference_merge_index`` (over the public, checked
-``harmonic_index``) and ``reference_evaluate``. ``reference_srlg_disjoint``
+``harmonic_index``) and ``reference_evaluate``. ``ReferencePortSpec``,
+``ReferenceSliceRequest`` and ``reference_request_from_dict`` are the frozen
+dataclasses and the parser that the checked named tuples replaced; the
+parser shares the library's ``_as_*`` readers. ``reference_srlg_disjoint``
 is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
 with a fresh budget for every call. That name-keyed view (``adjacency``,
@@ -51,11 +54,16 @@ from tnsc.feasibility import (
     normalize_falling,
 )
 from tnsc.model import (
+    DIMENSION_FLOORS,
     DIMENSIONS,
     Bound,
     BoundsMode,
     SliceRequest,
     TraitBounds,
+    _as_int,
+    _as_name,
+    _as_object,
+    _as_positive,
     _check_endpoint_ports,
     derive_bounds,
     weights_from_dict,
@@ -541,6 +549,87 @@ def reference_merge_index(vector: FeasibilityVector,
         [resolved[dim] for dim in DIMENSIONS],
     )
     return FeasibilityIndex(value=value, weights_used=resolved)
+
+
+@dataclass(frozen=True)
+class ReferencePortSpec:
+    """Count client ports of one type and bitrate: a slice's demand, or a
+    device's inventory of interchangeable ports."""
+
+    port_type: str
+    gbps: float
+    count: int
+
+    @property
+    def label(self) -> str:
+        """The kind's name in reports. ``:g`` rounds near-equal bitrates
+        alike, so match on ``(port_type, gbps)``, never on the label."""
+        return f"{self.port_type}@{self.gbps:g}"
+
+
+@dataclass(frozen=True)
+class ReferenceSliceRequest:
+    """Transport-slice request with its four isolation traits.
+
+    ``control`` is the Boolean control-plane trait; ``disjoint_paths``,
+    ``client_ports.count`` and ``calendar_slots`` are the numeric topology,
+    device and data-plane traits.
+    """
+
+    id: str
+    src: str
+    dst: str
+    control: bool
+    disjoint_paths: int
+    client_ports: ReferencePortSpec
+    calendar_slots: int
+    weights: Mapping[str, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.src == self.dst:
+            raise ValidationError(self.id, "src and dst must differ")
+        if self.disjoint_paths < DIMENSION_FLOORS["topology"]:
+            raise ValidationError(self.id, "disjoint_paths must be at least 2")
+        if self.client_ports.count < DIMENSION_FLOORS["device"]:
+            raise ValidationError(self.id, "client port count must be at least 1")
+        if self.calendar_slots < DIMENSION_FLOORS["data_plane"]:
+            raise ValidationError(self.id, "calendar_slots must be at least 1")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", weights_from_dict(self.weights, self.id))
+
+    def trait(self, dimension: str) -> int:
+        if dimension == "topology":
+            return self.disjoint_paths
+        if dimension == "device":
+            return self.client_ports.count
+        if dimension == "data_plane":
+            return self.calendar_slots
+        raise KeyError(dimension)
+
+
+def reference_request_from_dict(raw: Mapping) -> ReferenceSliceRequest:
+    """Parse one slice request from its external JSON shape."""
+    raw = _as_object(raw, "request", "request")
+    rid = _as_name(raw.get("id"), "request", "request id")
+    ports = _as_object(raw.get("client_ports"), rid, "client_ports")
+    control = raw.get("control", False)
+    if not isinstance(control, bool):
+        raise ValidationError(rid, "control must be a boolean")
+    return ReferenceSliceRequest(
+        id=rid,
+        src=_as_name(raw.get("src"), rid, "src"),
+        dst=_as_name(raw.get("dst"), rid, "dst"),
+        control=control,
+        disjoint_paths=_as_int(raw.get("disjoint_paths"), rid, "disjoint_paths"),
+        client_ports=ReferencePortSpec(
+            port_type=_as_name(ports.get("type"), rid, "client_ports.type"),
+            gbps=_as_positive(ports.get("gbps"), ValidationError, rid,
+                              "client_ports.gbps must be a finite number > 0"),
+            count=_as_int(ports.get("count"), rid, "client_ports.count"),
+        ),
+        calendar_slots=_as_int(raw.get("calendar_slots"), rid, "calendar_slots"),
+        weights=raw.get("weights"),
+    )
 
 
 def reference_evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,

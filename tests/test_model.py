@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -31,6 +34,7 @@ from tnsc.errors import (
     NoDevice,
     NoMatchingPorts,
     OutOfRange,
+    UnknownDimension,
     ValidationError,
 )
 
@@ -181,6 +185,52 @@ class TestSliceRequest:
     def test_unknown_weight_dimension_rejected(self):
         with pytest.raises(ValidationError):
             make_request(weights={"colour": 1.0})
+
+
+class TestRequestValueSemantics:
+    """Both types are named tuples whose checks no copy or edit skips."""
+
+    def test_fields_cannot_be_assigned(self):
+        request = make_request(weights={"device": 2})
+        for value in (request, request.client_ports):
+            for field in (*value._fields, "note"):
+                with pytest.raises(AttributeError):
+                    setattr(value, field, getattr(value, field, None))
+
+    def test_construct_by_position_and_keyword(self):
+        ports = PortSpec("10GE", 10.0, 15)
+        assert ports == PortSpec(port_type="10GE", gbps=10.0, count=15) == ("10GE", 10.0, 15)
+        assert ports.label == "10GE@10"
+        request = SliceRequest("TS_1", "A", "C", True, 2, ports, 2)
+        assert request == make_request() == ("TS_1", "A", "C", True, 2, ports, 2, None)
+        assert request.trait("device") == 15
+
+    def test_replace_and_make_check_again(self):
+        request = make_request()
+        with pytest.raises(ValidationError, match="src and dst must differ"):
+            request._replace(dst=request.src)
+        with pytest.raises(ValidationError, match="disjoint_paths must be at least 2"):
+            request._replace(disjoint_paths=1)
+        with pytest.raises(UnknownDimension):
+            request._replace(weights={"bogus": 1})
+        with pytest.raises(ValidationError, match="calendar_slots must be at least 1"):
+            SliceRequest._make((*request[:6], 0, None))
+        edited = request._replace(weights=MappingProxyType({"device": 2}))
+        assert type(edited) is SliceRequest
+        assert type(edited.weights) is dict and edited.weights == {"device": 2.0}
+        assert SliceRequest._make(edited) == edited
+
+    def test_weighted_request_is_unhashable(self):
+        assert hash(make_request()) == hash(make_request())
+        with pytest.raises(TypeError):
+            hash(make_request(weights={"device": 2}))
+
+    def test_pickle_and_copy_round_trip(self):
+        for request in (make_request(), make_request(weights={"device": 2})):
+            for twin in (pickle.loads(pickle.dumps(request)), copy.copy(request),
+                         copy.deepcopy(request)):
+                assert twin == request and type(twin) is SliceRequest
+                assert type(twin.client_ports) is PortSpec
 
 
 class TestTraitBounds:

@@ -1,8 +1,10 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps tnsc entry points by
 module and name and counts rejections by reason name, so renaming or moving
-either must fail here, not first in a traced benchmark run. Its event driver
-(``perfbench/drive.py``) builds report entries with the scenario module's
-private entry builders, so it must reproduce the golden reports here too.
+either must fail here, not first in a traced benchmark run; a traced CLI
+table must reach request parsing and the merge through the wrapped entry
+points. Its event driver (``perfbench/drive.py``) builds report entries
+with the scenario module's private entry builders, so it must reproduce
+the golden reports here too.
 The package's modules must also import each other without a cycle at run
 time, the README's library example must run, each differential test's
 documented full-run command must run, every public name must have a
@@ -15,6 +17,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -30,8 +33,9 @@ README = ROOT / "README.md"
 DATA = ROOT / "tests" / "data"
 GOLDENS = ("five_node_failure", "grid_node_disjoint", "grid_link_disjoint")
 DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
-                 "test_merge_differential", "test_score_differential",
-                 "test_shortest_differential", "test_srlg_differential")
+                 "test_ingest_differential", "test_merge_differential",
+                 "test_score_differential", "test_shortest_differential",
+                 "test_srlg_differential")
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 #: Functions the paper defines, exported whether or not anything calls them.
 PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")
@@ -55,6 +59,32 @@ def test_traced_entry_points_resolve():
             assert hasattr(target, part), f"tnsc.{module_name}.{attr} is gone"
             target = getattr(target, part)
         assert callable(target), f"tnsc.{module_name}.{attr}"
+
+
+def test_traced_table_layers_stay_live(tmp_path):
+    """A traced ``evaluate`` and ``rank`` through the CLI reach request
+    parsing and the harmonic merge, so the score-table rows that time them
+    cannot read 0 on working code: parsing and merging must keep going
+    through the entry points the tracer wraps."""
+    from tnsc.cli import main
+
+    spans = _load_perfbench("spans")
+    inputs = json.loads((DATA / "table_inputs.json").read_text())
+    flags = []
+    for name in ("requests", "bounds"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(inputs[name]))
+        flags += [f"--{name}", str(path)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for command in ("evaluate", "rank"):
+            assert main([command, *flags]) == 0
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    for name in ("model.request_from_dict", "feasibility.merge_index"):
+        assert totals[name]["calls"] > 0, name
 
 
 def test_reject_reasons_are_error_classes():
