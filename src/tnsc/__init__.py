@@ -66,6 +66,7 @@ from .scenario import (
     evaluate,
     load_scenario,
     parse_scenario,
+    play_event,
     rank_rows,
     report_to_json,
     rows_to_csv,

@@ -24,7 +24,7 @@ from .controller import (
     ReconfigOrder,
     ResourceLedger,
 )
-from .errors import ParseError, TnscError, ValidationError
+from .errors import AlreadyReleased, ParseError, TnscError, UnknownSlice, ValidationError
 from .feasibility import FeasibilityIndex, FeasibilityVector, assess, rank_key
 from .model import (
     DIMENSIONS,
@@ -245,10 +245,6 @@ _ENTRY_KEYS = (
 )
 
 
-def _entry(**fields) -> dict:
-    return dict.fromkeys(_ENTRY_KEYS) | fields
-
-
 def _paths_payload(paths: Sequence[Path] | None):
     if not paths:
         return None
@@ -296,6 +292,11 @@ def _decision_fields(decision: AllocationRecord | ReconfigEntry,
     }
 
 
+# perfbench/drive.py calls these three until it uses play_event: keep their signatures.
+def _entry(**fields) -> dict:
+    return dict.fromkeys(_ENTRY_KEYS) | fields
+
+
 def _arrival_entry(event: Event, record: AllocationRecord) -> dict:
     return _entry(
         seq=event.seq, event=event.kind.value, action="admit",
@@ -316,6 +317,34 @@ def _reconfig_entry(seq: int, event_kind: str, request: SliceRequest,
     )
 
 
+def play_event(controller: Controller, event: Event) -> list[dict]:
+    """Apply one event to the controller and return, as a new list, the
+    report entries it writes. The first is the event's own: an admit, a
+    release (``error`` for an unknown or released slice) or a link entry,
+    whose ``affected`` lists the slices a ``link_down`` hit; one
+    ``reconfigure`` entry per such slice follows, in policy order. Other
+    errors, such as a stale seq, raise."""
+    kind = event.kind.value
+    if event.kind is EventKind.REQUEST_ARRIVAL:
+        controller.apply_event(event)
+        return [_arrival_entry(event, controller.records[event.request.id])]
+    if event.kind is EventKind.REQUEST_RELEASE:
+        outcome, reason, detail = "released", None, None
+        try:
+            controller.apply_event(event)
+        except (UnknownSlice, AlreadyReleased) as err:
+            outcome, reason, detail = "error", err.reason, err.detail()
+        return [_entry(seq=event.seq, event=kind, action="release", slice=event.slice_id,
+                       outcome=outcome, reason=reason, detail=detail)]
+    affected = controller.apply_event(event)
+    entries = [_entry(seq=event.seq, event=kind, action=kind, outcome="applied",
+                      affected=list(affected))]
+    if event.kind is EventKind.LINK_DOWN:
+        entries += [_reconfig_entry(event.seq, kind, controller.requests[moved.slice_id], moved)
+                    for moved in controller.reconfigure(affected)]
+    return entries
+
+
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Drive the controller through every event in sequence order.
 
@@ -325,30 +354,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     """
     controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
                             scenario.policy)
-    entries: list[dict] = []
-    for event in scenario.events:
-        if event.kind is EventKind.REQUEST_ARRIVAL:
-            controller.apply_event(event)
-            entries.append(_arrival_entry(event, controller.records[event.request.id]))
-        elif event.kind is EventKind.REQUEST_RELEASE:
-            outcome, reason, detail = "released", None, None
-            try:
-                controller.apply_event(event)
-            except TnscError as err:
-                outcome, reason, detail = "error", err.reason, err.detail()
-            entries.append(_entry(
-                seq=event.seq, event=event.kind.value, action="release",
-                slice=event.slice_id, outcome=outcome, reason=reason, detail=detail))
-        else:
-            affected = controller.apply_event(event)
-            entries.append(_entry(
-                seq=event.seq, event=event.kind.value, action=event.kind.value,
-                outcome="applied", affected=list(affected)))
-            if event.kind is EventKind.LINK_DOWN:
-                for outcome in controller.reconfigure(affected):
-                    entries.append(_reconfig_entry(
-                        event.seq, event.kind.value,
-                        controller.requests[outcome.slice_id], outcome))
+    entries = [entry for event in scenario.events
+               for entry in play_event(controller, event)]
     return ScenarioReport(entries=tuple(entries), snapshot=controller.snapshot())
 
 

@@ -16,6 +16,7 @@ from tnsc import (
     EventKind,
     PortSpec,
     ReconfigPolicy,
+    ScenarioReport,
     SliceRequest,
     TraitBounds,
     canonical_json,
@@ -23,6 +24,7 @@ from tnsc import (
     load_scenario,
     normalize_falling,
     parse_scenario,
+    play_event,
     rank_rows,
     report_to_json,
     rows_to_csv,
@@ -31,7 +33,7 @@ from tnsc import (
     validate_topology,
     verify_disjoint,
 )
-from tnsc.errors import ParseError, TnscError, ValidationError
+from tnsc.errors import ParseError, StaleSequence, TnscError, ValidationError
 from tnsc.model import DIMENSIONS
 
 from .conftest import make_request
@@ -231,6 +233,66 @@ class TestGoldenReport:
                    for entry in report.entries)
         golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
         assert report_to_json(report) == golden
+
+
+def five_node_controller(played: int) -> Controller:
+    """A controller on the worked example after its first ``played`` events."""
+    scenario = load_scenario(str(DATA / "five_node_failure.json"))
+    controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
+                            scenario.policy)
+    for event in scenario.events[:played]:
+        play_event(controller, event)
+    return controller
+
+
+class TestPlayEvent:
+    ACTIONS = {EventKind.REQUEST_ARRIVAL: "admit", EventKind.REQUEST_RELEASE: "release",
+               EventKind.LINK_DOWN: "link_down", EventKind.LINK_UP: "link_up"}
+
+    @pytest.mark.parametrize("name", ["five_node_failure", "grid_node_disjoint",
+                                      "grid_link_disjoint"])
+    def test_golden_event_by_event(self, name):
+        """Each event's entries carry its seq and open with its own entry; a
+        link_down's go on with one reconfigure entry per slice it hit. With
+        the snapshot they make the golden report."""
+        scenario = load_scenario(str(DATA / f"{name}.json"))
+        controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
+                                scenario.policy)
+        entries = []
+        for event in scenario.events:
+            played = play_event(controller, event)
+            own, *moved = played
+            assert {entry["seq"] for entry in played} == {event.seq}
+            assert own["action"] == self.ACTIONS[event.kind]
+            expected = len(own["affected"]) if event.kind is EventKind.LINK_DOWN else 0
+            assert [entry["action"] for entry in moved] == ["reconfigure"] * expected
+            entries += played
+        report = ScenarioReport(entries=tuple(entries), snapshot=controller.snapshot())
+        golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
+        assert report_to_json(report) == golden
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_stale_seq_raises_and_changes_nothing(self, kind):
+        controller = five_node_controller(2)
+        payload = {EventKind.REQUEST_ARRIVAL: {"request": make_request("TS_9")},
+                   EventKind.REQUEST_RELEASE: {"slice_id": "TS_1"},
+                   EventKind.LINK_DOWN: {"link_id": "L_BC"},
+                   EventKind.LINK_UP: {"link_id": "L_BC"}}[kind]
+        records, ledger = dict(controller.records), controller.ledger.clone()
+        with pytest.raises(StaleSequence):
+            play_event(controller, Event(seq=2, kind=kind, **payload))
+        assert controller.records == records
+        assert controller.ledger == ledger
+
+    def test_failed_release_is_one_error_entry(self):
+        controller = five_node_controller(2)
+        releases = [("TS_1", "released", None), ("TS_1", "error", "AlreadyReleased"),
+                    ("ghost", "error", "UnknownSlice")]
+        for seq, (slice_id, outcome, reason) in enumerate(releases, start=3):
+            event = Event(seq=seq, kind=EventKind.REQUEST_RELEASE, slice_id=slice_id)
+            (entry,) = play_event(controller, event)
+            assert (entry["slice"], entry["outcome"], entry["reason"]) == \
+                (slice_id, outcome, reason)
 
 
 class TestEnumValuesAsStrings:

@@ -4,12 +4,13 @@ either must fail here, not first in a traced benchmark run; a traced CLI
 table must reach request parsing and the merge through the wrapped entry
 points. Its event driver (``perfbench/drive.py``) builds report entries
 with the scenario module's private entry builders, so it must reproduce
-the golden reports here too.
+the golden reports here too, event by event against ``play_event``.
 The package's modules must also import each other without a cycle at run
 time, the README's library example must run, each differential test's
 documented full-run command must run, every public name must have a
-user, and only the controller's booking rule may write the ledger's
-residual maps and control contexts."""
+user, only the controller's booking rule may write the ledger's
+residual maps and control contexts, and only ``scenario.play_event`` may
+apply events to a controller or reconfigure it."""
 
 from __future__ import annotations
 
@@ -102,15 +103,23 @@ def test_benchmark_driver_reproduces_golden():
     """The benchmark checks this before it times anything; a reshaped entry
     builder must fail here first. ``check_golden`` covers one scenario, so
     every golden is also played here, each event sent to ``Round.step``:
-    ``should_send`` would skip the grids' releases of rejected slices."""
-    from tnsc import load_scenario
+    ``should_send`` would skip the grids' releases of rejected slices. Each
+    event's entries must equal ``play_event``'s on a second controller, so
+    a drift names the event where it starts."""
+    from tnsc import Controller, load_scenario, play_event
 
     drive = _load_perfbench("drive")
     assert drive.check_golden(ROOT)
     for name in GOLDENS:
-        current = drive.Round(load_scenario(str(DATA / f"{name}.json")))
+        scenario = load_scenario(str(DATA / f"{name}.json"))
+        current = drive.Round(scenario)
+        controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
+                                scenario.policy)
         for event in current.events:
+            start = len(current.entries)
             current.step(event)
+            assert current.entries[start:] == play_event(controller, event), \
+                (name, event.seq)
         golden = (DATA / f"{name}.report.json").read_text(encoding="utf-8")
         assert current.report_json() == golden, name
 
@@ -227,26 +236,45 @@ def _names_ledger_map(target: ast.AST) -> bool:
     return isinstance(target, ast.Attribute) and target.attr in LEDGER_MAPS
 
 
-def _ledger_writers(tree: ast.AST, scope: str) -> set[str]:
-    """Qualified names of the functions whose own code assigns to,
-    augments, deletes from or calls a mutating method on a ledger map."""
+def _writes_ledger(node: ast.AST) -> bool:
+    """Assigns to, augments, deletes from or calls a mutating method on a
+    ledger map."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in MUTATORS):
+        targets = [node.func.value]
+    else:
+        targets = []
+    return any(map(_names_ledger_map, targets))
+
+
+def _calls_event_method(node: ast.AST) -> bool:
+    """Calls ``.apply_event(...)`` or ``.reconfigure(...)`` on anything."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("apply_event", "reconfigure"))
+
+
+def _functions_where(matches, tree: ast.AST, scope: str) -> set[str]:
+    """Qualified names of the functions (or modules) whose own code holds a
+    node that ``matches``."""
     found: set[str] = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found |= _ledger_writers(node, f"{scope}.{node.name}")
+            found |= _functions_where(matches, node, f"{scope}.{node.name}")
             continue
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in MUTATORS):
-            targets = [node.func.value]
-        else:
-            targets = []
-        if any(map(_names_ledger_map, targets)):
+        if matches(node):
             found.add(scope)
-        found |= _ledger_writers(node, scope)
+        found |= _functions_where(matches, node, scope)
+    return found
+
+
+def _package_functions_where(matches) -> set[str]:
+    found: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _functions_where(matches, ast.parse(path.read_text()), path.stem)
     return found
 
 
@@ -254,7 +282,11 @@ def test_ledger_has_one_writer():
     """Admission debits and release credits through ``Controller._book``
     alone, so a new ledger writer, or a cache kept beside the ledger, must
     hook in there."""
-    writers: set[str] = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        writers |= _ledger_writers(ast.parse(path.read_text()), path.stem)
-    assert writers == {"controller.Controller._book"}
+    assert _package_functions_where(_writes_ledger) == {"controller.Controller._book"}
+
+
+def test_events_have_one_dispatcher():
+    """``scenario.play_event`` alone turns an event into report entries, so
+    a second event loop, or a trace line written beside it, must go
+    through it."""
+    assert _package_functions_where(_calls_event_method) == {"scenario.play_event"}
