@@ -809,6 +809,19 @@ def random_graph_dict(rng, min_nodes=6, max_nodes=400, family=None):
     return {"nodes": names, "links": links, "devices": []}
 
 
+def search_outcome(search, call):
+    """``search.paths(call)`` as node and link tuples, or ``count()`` when
+    ``call`` is "count", or the error's detail or "RuntimeError"."""
+    try:
+        if call == "count":
+            return search.count()
+        return [(path.nodes, path.links) for path in search.paths(call)]
+    except InsufficientDiversity as err:
+        return err.detail()
+    except RuntimeError:
+        return "RuntimeError"
+
+
 def seeded_searches(seed: int, graphs: int):
     """Yield (number, topology, src, dst, mode, usable) for the link- and
     node-disjoint searches of a seeded stream of ``random_graph_dict``

@@ -11,22 +11,20 @@ links for every slot count a request may ask for, and for 0, must equal the
 reference's. A link failure must return, and mark stale, exactly the
 slices the reference scan finds, in the same order.
 
-The tier-1 test runs the first scenarios of the seeded stream. The full run
-prints its case count and a sha256 over the bytes of every report:
+Tier-1 runs the first scenarios; the full run hashes every report:
 
     PYTHONPATH=src python -m tests.test_controller_differential --graphs 400
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import random
 from unittest import mock
 
 from tnsc import Controller, EventKind, report_to_json, run_scenario, scenario
 from tnsc.scenario import scenario_from_dict
 
+from .differential import checked, main
 from .oracles import random_graph_dict, reference_stale_scan, reference_usable_links
 
 SEED = 9009
@@ -128,9 +126,9 @@ class _Checked(Controller):
         return entries
 
 
-def scenario_runs(seed: int, graphs: int):
-    """Yield (checks, report bytes) for each seeded scenario played through
-    ``run_scenario`` on a checking controller."""
+def controller_cases(seed: int, graphs: int):
+    """Yield a case for each check of each seeded scenario played through
+    ``run_scenario`` on a checking controller; the first digests the report."""
     rng = random.Random(seed)
     for number in range(graphs):
         played = scenario_from_dict(random_scenario(rng))
@@ -139,39 +137,21 @@ def scenario_runs(seed: int, graphs: int):
         checks: list = []
         with mock.patch.object(scenario, "Controller",
                                lambda *args: _Checked(checks, label, *args)):
-            report = report_to_json(run_scenario(played))
-        yield checks, report.encode()
+            digested = report_to_json(run_scenario(played)).encode()
+        for check in checks:
+            yield *check, digested
+            digested = b""
+
+
+STREAMS = {"scenarios": (controller_cases, SEED, 400)}
 
 
 def test_controller_matches_reference():
-    cases = stale = 0
-    for checks, _report in scenario_runs(SEED, TIER1_GRAPHS):
-        for label, outcome, expected in checks:
-            assert outcome == expected, label
-            cases += 1
-            stale += label[-1] == "stale" and bool(expected[0])
-    assert cases > 4 * EVENTS * TIER1_GRAPHS
+    checks = list(checked(controller_cases(SEED, TIER1_GRAPHS)))
+    stale = sum(label[-1] == "stale" and bool(outcome[0]) for label, outcome in checks)
+    assert len(checks) > 4 * EVENTS * TIER1_GRAPHS
     assert stale > TIER1_GRAPHS
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--graphs", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    cases = mismatches = 0
-    for checks, report in scenario_runs(args.seed, args.graphs):
-        for label, outcome, expected in checks:
-            cases += 1
-            if outcome != expected:
-                mismatches += 1
-                print("mismatch", label)
-        digest.update(report)
-    print(f"graphs={args.graphs} seed={args.seed} cases={cases} "
-          f"mismatches={mismatches} sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS))

@@ -19,18 +19,15 @@ raise the same error class with the same ``reason``, ``str()`` and
 same value and the same type.
 
 A case is one row. Each seeded request gives 482 rows: itself, its 308
-single faults, 153 pairs and 20 triples. The tier-1 test runs the first
-cases of the seeded stream. The full run (2,000 requests) prints its case
-count and a sha256 over every outcome:
+single faults, 153 pairs and 20 triples. Tier-1 runs the first cases; the
+full run (2,000 requests) hashes every outcome:
 
     PYTHONPATH=src python -m tests.test_ingest_differential --cases 964000
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
-import hashlib
 import itertools
 import math
 import random
@@ -39,6 +36,7 @@ from types import MappingProxyType
 from tnsc.errors import TnscError
 from tnsc.model import DIMENSIONS, request_from_dict
 
+from .differential import checked, main
 from .oracles import reference_request_from_dict
 
 SEED = 2020
@@ -172,45 +170,27 @@ def outcome(parse, raw) -> tuple:
 
 
 def differential_rows(seed: int, cases: int):
-    """Yield (row number, library outcome, reference outcome) for the first
-    ``cases`` rows of the seeded stream."""
+    """Yield a case for each of the first ``cases`` rows of the seeded
+    stream, digesting the library outcome."""
     rng = random.Random(seed)
     rows = (raw for number in itertools.count() for raw in case_rows(rng, number))
     for number, raw in enumerate(itertools.islice(rows, cases)):
-        yield (number, outcome(request_from_dict, raw),
-               outcome(reference_request_from_dict, raw))
+        library = outcome(request_from_dict, raw)
+        yield (number, library, outcome(reference_request_from_dict, raw),
+               repr(library).encode())
+
+
+STREAMS = {"rows": (differential_rows, SEED, 964000)}
 
 
 def test_ingestion_matches_reference():
-    reasons: set = set()
-    parsed_types: set[str] = set()
-    for number, library, reference in differential_rows(SEED, TIER1_CASES):
-        assert library == reference, number
-        if library[0] == "error":
-            reasons.add(library[2])
-        else:
-            parsed_types.update(name for name, _value in library[1:])
+    outcomes = [library for _number, library in checked(differential_rows(SEED, TIER1_CASES))]
+    reasons = {library[2] for library in outcomes if library[0] == "error"}
+    parsed_types = {name for library in outcomes if library[0] == "parsed"
+                    for name, _value in library[1:]}
     assert reasons == {"ValidationError", "UnknownDimension", "NonPositiveWeight"}
     assert {"Name", "Count", "dict", "NoneType", "float"} <= parsed_types
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cases", type=int, default=964000)
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    cases = mismatches = 0
-    for number, library, reference in differential_rows(args.seed, args.cases):
-        cases += 1
-        if library != reference:
-            mismatches += 1
-            print("mismatch", number, library, reference)
-        digest.update(repr(library).encode())
-    print(f"seed={args.seed} cases={cases} mismatches={mismatches} "
-          f"sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS, "--cases"))

@@ -9,20 +9,18 @@ non-positive weight, a length mismatch or no values at all. The merge must
 return the same float bit for bit, or raise the same exception type with
 the same message.
 
-The tier-1 test runs the first cases of the seeded stream. The full run
-prints its case count and a sha256 over every outcome:
+Tier-1 runs the first cases; the full run hashes every outcome:
 
     PYTHONPATH=src python -m tests.test_merge_differential --cases 200000
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import random
 
 from tnsc import harmonic_index
 
+from .differential import case, checked, main
 from .oracles import reference_harmonic_index
 
 SEED = 7007
@@ -129,38 +127,21 @@ def _outcome(merge, values, weights):
 
 
 def differential_cases(seed: int, count: int):
-    """Yield (case, outcome, reference outcome); an outcome is the result
-    as ``float.hex`` or the exception's type name and message."""
+    """Yield a case for each merge; an outcome is the result as
+    ``float.hex`` or the exception's type name and message."""
     for values, weights in merge_cases(seed, count):
-        yield ((values, weights), _outcome(harmonic_index, values, weights),
-               _outcome(reference_harmonic_index, values, weights))
+        yield case((values, weights), _outcome(harmonic_index, values, weights),
+                   _outcome(reference_harmonic_index, values, weights))
+
+
+STREAMS = {"merges": (differential_cases, SEED, 200_000)}
 
 
 def test_integer_merge_matches_fraction_merge():
-    kinds = set()
-    for case, outcome, expected in differential_cases(SEED, TIER1_CASES):
-        assert outcome == expected, case
-        kinds.add(outcome[0] if isinstance(outcome, tuple) else "value")
+    kinds = {outcome[0] if isinstance(outcome, tuple) else "value"
+             for _case, outcome in checked(differential_cases(SEED, TIER1_CASES))}
     assert kinds == {"value", "ValueError", "OverflowError", "NonPositiveWeight"}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cases", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    cases = mismatches = 0
-    for case, outcome, expected in differential_cases(args.seed, args.cases):
-        cases += 1
-        if outcome != expected:
-            mismatches += 1
-            print("mismatch", case, outcome, expected)
-        digest.update(repr((case, outcome)).encode())
-    print(f"seed={args.seed} cases={cases} mismatches={mismatches} "
-          f"sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS, "--cases"))

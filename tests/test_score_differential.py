@@ -16,16 +16,13 @@ order. The golden tables are scored the same way, and the golden scenarios
 play with ``controller.assess`` swapped for the reference: both reports
 must equal the library's, byte for byte.
 
-The tier-1 test runs the first cases of the seeded stream. The full run
-prints its table count and a sha256 over every output:
+Tier-1 runs the first cases; the full run hashes every output:
 
     PYTHONPATH=src python -m tests.test_score_differential --graphs 2000
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import random
 from pathlib import Path
@@ -43,6 +40,7 @@ from tnsc.model import (
 from tnsc.pathfind import DisjointnessMode
 from tnsc.scenario import evaluate, load_scenario, rank_rows, rows_to_csv, rows_to_json
 
+from .differential import checked, main
 from .oracles import random_graph_dict, reference_assess, reference_evaluate
 
 SEED = 1212
@@ -137,72 +135,54 @@ def _outputs(rows: list[dict]) -> tuple[str, ...]:
 
 
 def differential_tables(seed: int, graphs: int):
-    """Yield (label, outputs, reference outputs, rows) for each scored table
-    of the golden table inputs and of ``graphs`` seeded cases."""
+    """Yield a case for each scored table of the golden table inputs and of
+    ``graphs`` seeded cases, digesting its label and outputs."""
     cases = [("golden", json.loads((DATA / "table_inputs.json").read_text()))]
     rng = random.Random(seed)
     cases += ((number, random_case(rng)) for number in range(graphs))
     for number, case in cases:
         for label, rows, expected in scored_tables(case):
-            yield (number, label), _outputs(rows), _outputs(expected), rows
+            outputs = _outputs(rows)
+            yield ((number, label), outputs, _outputs(expected),
+                   "".join((repr((number, label)), *outputs)).encode())
 
 
 def golden_reports():
     """Yield (name, library report, report with controller.assess swapped
-    for the reference) for each golden scenario."""
+    for the reference, digested library report) for each golden scenario."""
     for name in GOLDEN_SCENARIOS:
         played = load_scenario(str(DATA / f"{name}.json"))
         library = report_to_json(run_scenario(played))
         with mock.patch.object(controller, "assess", reference_assess):
             reference = report_to_json(run_scenario(played))
-        yield name, library, reference
+        yield name, library, reference, library.encode()
+
+
+def score_cases(seed: int, graphs: int):
+    """The scored tables, then the golden scenarios' reports."""
+    yield from differential_tables(seed, graphs)
+    yield from golden_reports()
+
+
+STREAMS = {"tables": (score_cases, SEED, 2000)}
 
 
 def test_scoring_matches_reference():
-    statuses: set[str] = set()
-    failing: set[int] = set()
-    for label, outputs, expected, rows in differential_tables(SEED, TIER1_GRAPHS):
-        assert outputs == expected, label
-        for row in rows:
-            statuses.add(row["status"])
-            if label[1] == "static":
-                failing.add(sum(row[dim]["value"] is None for dim in DIMENSIONS))
+    rows = [(label[1], row) for label, outputs in checked(differential_tables(SEED, TIER1_GRAPHS))
+            for row in json.loads(outputs[0])]
+    statuses = {row["status"] for _way, row in rows}
+    failing = {sum(row[dim]["value"] is None for dim in DIMENSIONS)
+               for way, row in rows if way == "static"}
     assert statuses == {"ok", "OUT_OF_RANGE", "NoDevice", "NoMatchingPorts",
                         "ValidationError"}
     assert failing == {0, 1, 2, 3}
 
 
 def test_golden_scenarios_with_reference_assess():
-    for name, library, reference in golden_reports():
+    for name, library, reference, _digested in golden_reports():
         golden = (DATA / f"{name}.report.json").read_text()
         assert library == reference == golden, name
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--graphs", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    tables = mismatches = 0
-    for label, outputs, expected, _rows in differential_tables(args.seed, args.graphs):
-        tables += 1
-        if outputs != expected:
-            mismatches += 1
-            print("mismatch", label)
-        digest.update(repr(label).encode())
-        for text in outputs:
-            digest.update(text.encode())
-    for name, library, reference in golden_reports():
-        tables += 1
-        if library != reference:
-            mismatches += 1
-            print("mismatch", name)
-        digest.update(library.encode())
-    print(f"graphs={args.graphs} seed={args.seed} tables={tables} "
-          f"mismatches={mismatches} sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS))

@@ -9,19 +9,16 @@ maximum, ``pathfind._residual_shortest`` with the search's potentials must
 trace the same predecessor arcs back from the sink as the reference, or
 find no path where the reference finds none.
 
-The tier-1 test runs the first graphs of the seeded stream. The full run
-prints its case count and a sha256 over every outcome:
+Tier-1 runs the first graphs; the full run hashes every outcome:
 
     PYTHONPATH=src python -m tests.test_shortest_differential --graphs 1000
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-
 from tnsc import DisjointSearch, pathfind
 
+from .differential import case, checked, main
 from .oracles import reference_residual_shortest, seeded_searches
 
 SEED = 8008
@@ -44,8 +41,8 @@ def _chain(residual, pred, source: int, sink: int):
 
 
 def differential_cases(seed: int, graphs: int):
-    """Yield (label, chain, reference chain) for every residual network
-    of every search, from no flow to the maximum."""
+    """Yield a case for every residual network of every search, from no
+    flow to the maximum; an outcome is a predecessor chain."""
     for number, topology, src, dst, mode, usable in seeded_searches(seed, graphs):
         search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
         residual, source, sink = search._residual, search._source, search._sink
@@ -57,38 +54,19 @@ def differential_cases(seed: int, graphs: int):
                 residual, search._outgoing, search._potential, source, sink)
             label = (number, len(topology.nodes), mode.value,
                      usable is None, src, dst, flow)
-            yield (label, _chain(residual, pred, source, sink),
-                   _chain(residual, expected, source, sink))
+            yield case(label, _chain(residual, pred, source, sink),
+                       _chain(residual, expected, source, sink))
             if expected is None:
                 break
             flow = search._augment_to(flow + 1, lambda: expected)
 
 
+STREAMS = {"searches": (differential_cases, SEED, 1000)}
+
+
 def test_shortest_matches_reference():
-    cases = 0
-    for label, chain, expected in differential_cases(SEED, TIER1_GRAPHS):
-        assert chain == expected, label
-        cases += 1
-    assert cases > 4 * TIER1_GRAPHS
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--graphs", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=SEED)
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    cases = mismatches = 0
-    for label, chain, expected in differential_cases(args.seed, args.graphs):
-        cases += 1
-        if chain != expected:
-            mismatches += 1
-            print("mismatch", label)
-        digest.update(repr((label, chain)).encode())
-    print(f"graphs={args.graphs} seed={args.seed} cases={cases} "
-          f"mismatches={mismatches} sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
+    assert len(list(checked(differential_cases(SEED, TIER1_GRAPHS)))) > 4 * TIER1_GRAPHS
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS))

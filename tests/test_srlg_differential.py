@@ -15,8 +15,8 @@ controller differential's scenarios in SRLG mode, their links tagged,
 through ``run_scenario``: each report must equal, byte for byte, the
 report of the same scenario played on reference searches.
 
-The tier-1 tests run the first cases of each stream. The full runs print
-their case count and a sha256 over every outcome and report:
+Tier-1 runs the first cases of each stream; the full runs hash every outcome
+and report:
 
     PYTHONPATH=src python -m tests.test_srlg_differential --graphs 2400
     PYTHONPATH=src python -m tests.test_srlg_differential --stream scenarios --graphs 24
@@ -24,8 +24,6 @@ their case count and a sha256 over every outcome and report:
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import math
 import random
 from unittest import mock
@@ -36,7 +34,8 @@ from tnsc.errors import InsufficientDiversity
 from tnsc.pathfind import DEFAULT_SRLG_BUDGET
 from tnsc.scenario import scenario_from_dict
 
-from .oracles import adjacency, random_graph_dict, reference_srlg_disjoint
+from .differential import case, checked, main
+from .oracles import adjacency, random_graph_dict, reference_srlg_disjoint, search_outcome
 from .test_controller_differential import random_scenario
 
 SEED = 7007
@@ -103,20 +102,8 @@ def _endpoints(rng: random.Random, topology) -> tuple[str, str]:
     return src, rng.choice(sorted(topology.nodes - {src}))
 
 
-def _outcome(search, call):
-    try:
-        if call == "count":
-            return search.count()
-        return [(path.nodes, path.links) for path in search.paths(call)]
-    except InsufficientDiversity as err:
-        return err.detail()
-    except RuntimeError:
-        return "RuntimeError"
-
-
 def sequence_cases(seed: int, graphs: int):
-    """Yield (label, outcome, reference outcome) for every call of every
-    seeded sequence."""
+    """Yield a case for every call of every seeded sequence."""
     rng = random.Random(seed)
     for number in range(graphs):
         raw = (random_graph_dict(rng, min_nodes=6, max_nodes=9) if number % 2 == 0
@@ -133,13 +120,13 @@ def sequence_cases(seed: int, graphs: int):
         label = (number, len(topology.nodes), usable is None, budget, src, dst)
         for step in range(rng.randint(1, 5)):
             call = "count" if rng.random() < 0.25 else rng.randint(1, 4)
-            yield (label + (step, call), _outcome(search, call),
-                   _outcome(reference, call))
+            yield case(label + (step, call), search_outcome(search, call),
+                       search_outcome(reference, call))
 
 
 def scenario_cases(seed: int, graphs: int):
-    """Yield (label, report, reference report) for each seeded SRLG
-    scenario, the reports as bytes."""
+    """Yield a case for each seeded SRLG scenario, the reports as bytes,
+    digesting the report."""
     rng = random.Random(seed)
     for number in range(graphs):
         raw = random_scenario(rng)
@@ -149,55 +136,29 @@ def scenario_cases(seed: int, graphs: int):
         report = report_to_json(run_scenario(played)).encode()
         with mock.patch.object(controller, "DisjointSearch", ReferenceSrlgSearch):
             expected = report_to_json(run_scenario(scenario_from_dict(raw))).encode()
-        yield (number, len(played.topology.nodes), played.bounds.mode.value), report, expected
+        label = (number, len(played.topology.nodes), played.bounds.mode.value)
+        yield label, report, expected, report
 
 
-STREAMS = {"sequences": (sequence_cases, SEED),
-           "scenarios": (scenario_cases, SCENARIO_SEED)}
+STREAMS = {"sequences": (sequence_cases, SEED, 2400),
+           "scenarios": (scenario_cases, SCENARIO_SEED, 24)}
 
 
 def test_srlg_sequences_match_reference():
-    cases = exhausted = 0
-    for label, outcome, expected in sequence_cases(SEED, TIER1_GRAPHS):
-        assert outcome == expected, label
-        cases += 1
-        exhausted += isinstance(expected, dict) and expected["budget_exhausted"]
-    assert cases > 2 * TIER1_GRAPHS
+    outcomes = [outcome for _label, outcome in checked(sequence_cases(SEED, TIER1_GRAPHS))]
+    exhausted = sum(isinstance(outcome, dict) and outcome["budget_exhausted"]
+                    for outcome in outcomes)
+    assert len(outcomes) > 2 * TIER1_GRAPHS
     assert exhausted > 0
 
 
 def test_srlg_scenarios_match_reference():
-    reports = []
-    for label, report, expected in scenario_cases(SCENARIO_SEED, TIER1_SCENARIOS):
-        assert report == expected, label
-        reports.append(report)
+    reports = [report for _label, report
+               in checked(scenario_cases(SCENARIO_SEED, TIER1_SCENARIOS))]
     for seen in (b'"outcome":"active"', b'"budget_exhausted":true',
                  b'"reason":"SlotExhausted"', b'"action":"reconfigure"'):
         assert any(seen in report for report in reports), seen
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--graphs", type=int, default=2400)
-    parser.add_argument("--stream", choices=sorted(STREAMS), default="sequences")
-    parser.add_argument("--seed", type=int, help="default: the stream's own")
-    args = parser.parse_args(argv)
-    cases_of, default_seed = STREAMS[args.stream]
-    if args.seed is None:
-        args.seed = default_seed
-    digest = hashlib.sha256()
-    cases = mismatches = 0
-    for label, outcome, expected in cases_of(args.seed, args.graphs):
-        cases += 1
-        if outcome != expected:
-            mismatches += 1
-            print("mismatch", label)
-        digest.update(outcome if isinstance(outcome, bytes)
-                      else repr((label, outcome)).encode())
-    print(f"graphs={args.graphs} seed={args.seed} cases={cases} "
-          f"mismatches={mismatches} sha256={digest.hexdigest()}")
-    return 1 if mismatches else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(STREAMS))

@@ -6,15 +6,16 @@ points. Its event driver (``perfbench/drive.py``) builds report entries
 with the scenario module's private entry builders, so it must reproduce
 the golden reports here too, event by event against ``play_event``.
 The package's modules must also import each other without a cycle at run
-time, the README's library example must run, each differential test's
-documented full-run command must run, every public name must have a
-user, only the controller's booking rule may write the ledger's
-residual maps and control contexts, and only ``scenario.play_event`` may
-apply events to a controller or reconfigure it."""
+time, the README's library example must run, each differential module's
+documented commands must be its streams and run through the one runner,
+every public name must have a user, only the controller's booking rule
+may write the ledger's residual maps and control contexts, and only
+``scenario.play_event`` may apply events to a controller or reconfigure it."""
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -28,15 +29,17 @@ from pathlib import Path
 
 import pytest
 
+from . import differential
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
 DATA = ROOT / "tests" / "data"
 GOLDENS = ("five_node_failure", "grid_node_disjoint", "grid_link_disjoint")
-DIFFERENTIALS = ("test_controller_differential", "test_engine_differential",
-                 "test_ingest_differential", "test_merge_differential",
-                 "test_score_differential", "test_shortest_differential",
-                 "test_srlg_differential")
+#: The modules with a full run: each ``tests/test_*_differential.py`` with ``STREAMS``.
+DIFFERENTIALS = {path.stem: module
+                 for path in sorted((ROOT / "tests").glob("test_*_differential.py"))
+                 if hasattr(module := importlib.import_module(f"tests.{path.stem}"), "STREAMS")}
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 #: Functions the paper defines, exported whether or not anything calls them.
 PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")
@@ -161,9 +164,8 @@ def _documented_commands():
     """Each ``PYTHONPATH=src python -m tests.<name> ...`` line in the
     differential modules' docstrings, as the argument list after
     ``python``."""
-    for name in DIFFERENTIALS:
-        source = (ROOT / "tests" / f"{name}.py").read_text()
-        for line in ast.get_docstring(ast.parse(source)).splitlines():
+    for name, module in DIFFERENTIALS.items():
+        for line in module.__doc__.splitlines():
             words = line.split()
             if words[:4] == ["PYTHONPATH=src", "python", "-m", f"tests.{name}"]:
                 yield words[2:]
@@ -184,6 +186,30 @@ def test_documented_full_run_command(command):
 def test_every_differential_documents_a_command():
     documented = {command[1] for command in _documented_commands()}
     assert documented == {f"tests.{name}" for name in DIFFERENTIALS}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIALS)
+def test_documented_commands_are_the_streams(name):
+    """The documented commands play each stream once, at the seed and full
+    size it plays with no flags, and only through the runner."""
+    module = DIFFERENTIALS[name]
+    runs = sorted(differential.parse(module.STREAMS, command[-2], command[2:])
+                  for command in _documented_commands() if command[1] == f"tests.{name}")
+    assert runs == sorted((stream, seed, full)
+                          for stream, (_cases, seed, full) in module.STREAMS.items())
+    assert not re.search(r"^\s*(from|import) (argparse|hashlib)\b",
+                         inspect.getsource(module), re.MULTILINE)
+
+
+def test_runner_reports_and_fails_on_a_mismatch(capsys):
+    cases = [("same", 1, 1, b"first"), ("differs", 2, 3, b"second")]
+    assert differential.main({"stub": (lambda seed, size: cases[:size], 0, 2)}, argv=[]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "mismatch differs"
+    words = set(out.split())
+    assert {"mismatches=1", f"sha256={hashlib.sha256(b'firstsecond').hexdigest()}"} <= words
+    with pytest.raises(AssertionError, match="differs"):
+        list(differential.checked(cases))
 
 
 def _reads_outside_own_definition(tree: ast.Module) -> set[str]:
