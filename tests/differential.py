@@ -5,9 +5,10 @@ size)}``; ``cases(seed, size)`` yields cases, each (label, outcome,
 reference outcome, digested bytes). Tier-1 tests read outcomes through
 ``checked``. ``main`` plays the first stream, or the one ``--stream``
 names, at its seed and full size unless ``--seed`` or the size flag says
-otherwise; it prints each mismatching label, then the counts and the
-sha256 of the digested bytes, and exits 1 on any mismatch. No pytest is
-needed, so each documented command runs under other interpreters too:
+otherwise; it prints each mismatch's label and both outcomes, then the
+counts and the sha256 of the digested bytes, and exits 1 on any
+mismatch. No pytest is needed, so each documented command runs under
+other interpreters too:
 
     for python in python3.10 python3.12 python3.13; do
         PYTHONPATH=src $python -m tests.test_merge_differential --cases 200000
@@ -52,7 +53,7 @@ def main(streams: dict, size: str = "--graphs", argv=None) -> int:
         cases += 1
         if outcome != expected:
             mismatches += 1
-            print("mismatch", label)
+            print("mismatch", label, outcome, expected)
         digest.update(digested)
     print(f"stream={name} seed={seed} size={size} cases={cases} "
           f"mismatches={mismatches} sha256={digest.hexdigest()}")

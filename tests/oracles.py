@@ -811,15 +811,14 @@ def random_graph_dict(rng, min_nodes=6, max_nodes=400, family=None):
 
 def search_outcome(search, call):
     """``search.paths(call)`` as node and link tuples, or ``count()`` when
-    ``call`` is "count", or the error's detail or "RuntimeError"."""
+    ``call`` is "count", or the ``InsufficientDiversity`` detail; any other
+    error propagates."""
     try:
         if call == "count":
             return search.count()
         return [(path.nodes, path.links) for path in search.paths(call)]
     except InsufficientDiversity as err:
         return err.detail()
-    except RuntimeError:
-        return "RuntimeError"
 
 
 def seeded_searches(seed: int, graphs: int):

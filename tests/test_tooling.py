@@ -36,10 +36,11 @@ PACKAGE = ROOT / "src" / "tnsc"
 README = ROOT / "README.md"
 DATA = ROOT / "tests" / "data"
 GOLDENS = ("five_node_failure", "grid_node_disjoint", "grid_link_disjoint")
-#: The modules with a full run: each ``tests/test_*_differential.py`` with ``STREAMS``.
-DIFFERENTIALS = {path.stem: module
+#: The modules with a full run: each ``tests/test_*_differential.py`` that
+#: names its own ``python -m tests.<name>`` command.
+DIFFERENTIALS = {path.stem: importlib.import_module(f"tests.{path.stem}")
                  for path in sorted((ROOT / "tests").glob("test_*_differential.py"))
-                 if hasattr(module := importlib.import_module(f"tests.{path.stem}"), "STREAMS")}
+                 if f"python -m tests.{path.stem} " in path.read_text()}
 TINY_SIZES = {"--graphs": "2", "--cases": "50"}
 #: Functions the paper defines, exported whether or not anything calls them.
 PAPER_FUNCTIONS = ("compare_dimension", "group_by_boolean")
@@ -193,10 +194,15 @@ def test_documented_commands_are_the_streams(name):
     """The documented commands play each stream once, at the seed and full
     size it plays with no flags, and only through the runner."""
     module = DIFFERENTIALS[name]
-    runs = sorted(differential.parse(module.STREAMS, command[-2], command[2:])
-                  for command in _documented_commands() if command[1] == f"tests.{name}")
-    assert runs == sorted((stream, seed, full)
-                          for stream, (_cases, seed, full) in module.STREAMS.items())
+    assert hasattr(module, "STREAMS"), f"tests.{name} documents a full run but has no STREAMS"
+    runs = []
+    for command in _documented_commands():
+        if command[1] == f"tests.{name}":
+            sizes = [word for word in command if word in TINY_SIZES]
+            assert len(sizes) == 1, f"{' '.join(command)} must give one of {list(TINY_SIZES)}"
+            runs.append(differential.parse(module.STREAMS, sizes[0], command[2:]))
+    assert sorted(runs) == sorted((stream, seed, full)
+                                  for stream, (_cases, seed, full) in module.STREAMS.items())
     assert not re.search(r"^\s*(from|import) (argparse|hashlib)\b",
                          inspect.getsource(module), re.MULTILINE)
 
@@ -205,7 +211,7 @@ def test_runner_reports_and_fails_on_a_mismatch(capsys):
     cases = [("same", 1, 1, b"first"), ("differs", 2, 3, b"second")]
     assert differential.main({"stub": (lambda seed, size: cases[:size], 0, 2)}, argv=[]) == 1
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "mismatch differs"
+    assert out.splitlines()[0] == "mismatch differs 2 3"
     words = set(out.split())
     assert {"mismatches=1", f"sha256={hashlib.sha256(b'firstsecond').hexdigest()}"} <= words
     with pytest.raises(AssertionError, match="differs"):
