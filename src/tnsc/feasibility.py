@@ -56,25 +56,36 @@ class TraitValue(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class FeasibilityVector:
-    """Per-dimension feasibility of one slice request.
-
-    ``numeric_traits`` holds the three falling-normalized dimensions in the
-    fixed order of :data:`~tnsc.model.DIMENSIONS`; Boolean traits never mix
-    into the numeric merge and only serve to group vectors.
-    """
-
+class _VectorFields(NamedTuple):
     slice_id: str
     boolean_traits: Mapping[str, bool]
     numeric_traits: Mapping[str, TraitValue]
 
-    def __post_init__(self) -> None:
-        if tuple(self.numeric_traits) != DIMENSIONS:
-            raise UnknownDimension(str(tuple(self.numeric_traits)))
-        for label, trait in self.numeric_traits.items():
+
+class FeasibilityVector(_VectorFields):
+    """Per-dimension feasibility of one slice request.
+
+    ``numeric_traits`` holds the three falling-normalized dimensions in the
+    fixed order of :data:`~tnsc.model.DIMENSIONS`; Boolean traits never mix
+    into the numeric merge and only serve to group vectors. A named tuple
+    whose constructor checks the order and the [0, 1] range; ``_replace``
+    and ``_make`` go through the constructor, so they check them again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, slice_id: str, boolean_traits: Mapping[str, bool],
+                numeric_traits: Mapping[str, TraitValue]) -> FeasibilityVector:
+        if tuple(numeric_traits) != DIMENSIONS:
+            raise UnknownDimension(str(tuple(numeric_traits)))
+        for label, trait in numeric_traits.items():
             if not 0.0 <= trait.value <= 1.0:
                 raise OutOfRange(trait.raw, trait.l, trait.h, dimension=label)
+        return tuple.__new__(cls, (slice_id, boolean_traits, numeric_traits))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> FeasibilityVector:
+        return cls(*iterable)
 
     def boolean_signature(self) -> tuple[bool, ...]:
         return tuple(self.boolean_traits[k] for k in sorted(self.boolean_traits))
@@ -172,18 +183,17 @@ def harmonic_index(values: Sequence[float],
     return _exact_harmonic(values, weights)
 
 
-def _exact_harmonic(values: Sequence[float], weights: Sequence[float]) -> float:
-    """:func:`harmonic_index` on checked, equal-length inputs."""
+def _exact_harmonic(values: Sequence[float], weights: Iterable[float]) -> float:
+    """:func:`harmonic_index` on checked, equal-length inputs. Every weight
+    is read before any value, so a bad weight's error comes first."""
     if 0 in values:
         return 0.0
-    ratios = [w.as_integer_ratio() for w in weights]
     weight_num, weight_den = 0, 1
-    for a, b in ratios:
-        weight_num, weight_den = weight_num * b + a * weight_den, weight_den * b
     # sum(w / v) with w = a/b and v = c/d: each term is a*d / (b*c).
     inverse_num, inverse_den = 0, 1
-    for (a, b), v in zip(ratios, values):
+    for (a, b), v in zip([w.as_integer_ratio() for w in weights], values):
         c, d = v.as_integer_ratio()
+        weight_num, weight_den = weight_num * b + a * weight_den, weight_den * b
         inverse_num = inverse_num * b * c + a * d * inverse_den
         inverse_den *= b * c
     return (weight_num * inverse_den) / (weight_den * inverse_num)
@@ -203,8 +213,7 @@ def merge_index(vector: FeasibilityVector,
     resolved = _UNIT_WEIGHTS.copy()
     if weights:
         resolved.update(weights_from_dict(weights, vector.slice_id))
-    value = _exact_harmonic([trait.value for trait in vector.numeric_traits.values()],
-                            [resolved[dim] for dim in DIMENSIONS])
+    value = _exact_harmonic(vector.values(), resolved.values())
     return FeasibilityIndex(value, resolved)
 
 

@@ -383,12 +383,14 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
     Normalization failures mark the row OUT_OF_RANGE instead of aborting,
     so a table renders even when some requests are infeasible.
     """
+    derived = bounds.mode is BoundsMode.DERIVED
     ledger = (ResourceLedger.from_topology(topology)
-              if bounds.mode is BoundsMode.DERIVED and topology is not None else None)
+              if derived and topology is not None else None)
     rows = []
     for request in requests:
-        try:
-            if bounds.mode is BoundsMode.DERIVED:
+        resolved = bounds
+        if derived:
+            try:
                 if topology is None:
                     raise ValidationError("bounds",
                                           "derived bounds require a topology")
@@ -398,30 +400,33 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 resolved = derive_bounds(
                     request, DisjointSearch(topology, request.src, request.dst, mode),
                     ledger.residual_slots, ledger.residual_ports)
-            else:
-                resolved = bounds
-        except TnscError as err:
-            row = {"slice": request.id, "control": request.control,
-                   "status": err.reason, "error": err.detail(),
-                   "index": None, "index_display": None}
-            for dim in DIMENSIONS:
-                row[dim] = {"r": request.trait(dim), "l": None, "h": None, "value": None}
+            except TnscError as err:
+                row = {"slice": request.id, "control": request.control,
+                       "status": err.reason, "error": err.detail(),
+                       "index": None, "index_display": None}
+                for dim in DIMENSIONS:
+                    row[dim] = {"r": request.trait(dim), "l": None, "h": None,
+                                "value": None}
+                rows.append(row)
+                continue
+
+        assessment = assess(request, resolved, weights)
+        traits = assessment.traits
+        if not assessment.errors:
+            index = assessment.index.value
+            row = {"slice": request.id, "control": request.control, "status": "ok",
+                   "error": None, "index": index, "index_display": _round3(index)}
+            for dim, (r, l, h, value) in traits.items():
+                row[dim] = {"r": r, "l": l, "h": h, "value": value}
             rows.append(row)
             continue
-
         # The row shows each value that normalizes; the last failing
         # dimension's error stands, without the slice id the row names.
-        assessment = assess(request, resolved, weights)
-        if assessment.errors:
-            last = assessment.errors[-1]
-            status, index, display = "OUT_OF_RANGE", None, None
-            error = {"r": last.r, "l": last.l, "h": last.h, "dimension": last.dimension}
-        else:
-            index = assessment.index.value
-            status, error, display = "ok", None, _round3(index)
-        row = {"slice": request.id, "control": request.control, "status": status,
-               "error": error, "index": index, "index_display": display}
-        traits, failed = assessment.traits, iter(assessment.errors)
+        last = assessment.errors[-1]
+        row = {"slice": request.id, "control": request.control, "status": "OUT_OF_RANGE",
+               "error": {"r": last.r, "l": last.l, "h": last.h, "dimension": last.dimension},
+               "index": None, "index_display": None}
+        failed = iter(assessment.errors)
         for dim in DIMENSIONS:
             if dim in traits:
                 r, l, h, value = traits[dim]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -147,6 +149,12 @@ class TestMergeIndex:
             expected = float(harmonic_fraction(values, weights))
             assert harmonic_index(values, weights) == pytest.approx(
                 expected, rel=1e-15)
+
+    def test_weights_are_read_before_values(self):
+        """Both lists pass the argument checks; the infinite weight's
+        OverflowError wins over the NaN value's ValueError."""
+        with pytest.raises(OverflowError):
+            harmonic_index([float("nan"), 1.0], [5e-324, float("inf")])
 
     def test_weights_shift_the_index(self, ts1, table2_bounds):
         vector = build_vector(ts1, table2_bounds)
@@ -323,3 +331,51 @@ class TestValueSemantics:
             FeasibilityVector("S", {"control": True}, traits)
         with pytest.raises(UnknownDimension):
             FeasibilityVector("S", {"control": True}, dict(list(traits.items())[:2]))
+
+    @staticmethod
+    def _vector() -> FeasibilityVector:
+        return FeasibilityVector("S", {"control": True},
+                                 {dim: TraitValue(2, 2, 4, 1.0) for dim in DIMENSIONS})
+
+    def test_vector_fields_cannot_be_assigned(self):
+        vector = self._vector()
+        for field in (*vector._fields, "note"):
+            with pytest.raises(AttributeError):
+                setattr(vector, field, getattr(vector, field, None))
+
+    def test_vector_by_position_and_keyword(self):
+        vector = self._vector()
+        traits = dict(vector.numeric_traits)
+        assert vector == FeasibilityVector(slice_id="S", boolean_traits={"control": True},
+                                           numeric_traits=traits)
+        assert vector == ("S", {"control": True}, traits)
+        assert (vector.slice_id, vector.boolean_traits) == ("S", {"control": True})
+
+    def test_vector_replace_and_make_check_again(self):
+        vector = self._vector()
+        bad = {**vector.numeric_traits, "device": TraitValue(2, 2, 4, 1.5)}
+        reordered = dict(reversed(vector.numeric_traits.items()))
+        for edit in (lambda traits: vector._replace(numeric_traits=traits),
+                     lambda traits: FeasibilityVector._make(("S", {}, traits))):
+            with pytest.raises(OutOfRange) as caught:
+                edit(bad)
+            assert caught.value.dimension == "device"
+            with pytest.raises(UnknownDimension):
+                edit(reordered)
+        edited = vector._replace(slice_id="T")
+        assert type(edited) is FeasibilityVector and edited.slice_id == "T"
+        assert FeasibilityVector._make(edited) == edited
+
+    def test_vector_pickle_and_copy_rebuild_through_the_checks(self):
+        vector = self._vector()
+        copies = (lambda: pickle.loads(pickle.dumps(vector)),
+                  lambda: copy.copy(vector), lambda: copy.deepcopy(vector))
+        for twin in copies:
+            copied = twin()
+            assert copied == vector and type(copied) is FeasibilityVector
+        # The trait map is a plain dict; a copy of a vector whose map went
+        # bad after construction is refused.
+        vector.numeric_traits["device"] = TraitValue(2, 2, 4, 1.5)
+        for twin in copies:
+            with pytest.raises(OutOfRange):
+                twin()

@@ -9,8 +9,9 @@ The package's modules must also import each other without a cycle at run
 time, the README's library example must run, each differential module's
 documented commands must be its streams and run through the one runner,
 every public name must have a user, only the controller's booking rule
-may write the ledger's residual maps and control contexts, and only
-``scenario.play_event`` may apply events to a controller or reconfigure it."""
+may write the ledger's residual maps and control contexts, only
+``scenario.play_event`` may apply events to a controller or reconfigure it,
+and only ``feasibility.assess`` may normalize and merge traits."""
 
 from __future__ import annotations
 
@@ -184,17 +185,14 @@ def test_documented_full_run_command(command):
     assert "mismatches=0" in done.stdout.split()
 
 
-def test_every_differential_documents_a_command():
-    documented = {command[1] for command in _documented_commands()}
-    assert documented == {f"tests.{name}" for name in DIFFERENTIALS}
-
-
 @pytest.mark.parametrize("name", DIFFERENTIALS)
 def test_documented_commands_are_the_streams(name):
     """The documented commands play each stream once, at the seed and full
-    size it plays with no flags, and only through the runner."""
+    size it plays with no flags, and only through the runner; a module with
+    no stream fails."""
     module = DIFFERENTIALS[name]
     assert hasattr(module, "STREAMS"), f"tests.{name} documents a full run but has no STREAMS"
+    assert module.STREAMS, f"tests.{name} documents a full run but its STREAMS is empty"
     runs = []
     for command in _documented_commands():
         if command[1] == f"tests.{name}":
@@ -315,6 +313,23 @@ def test_ledger_has_one_writer():
     alone, so a new ledger writer, or a cache kept beside the ledger, must
     hook in there."""
     assert _package_functions_where(_writes_ledger) == {"controller.Controller._book"}
+
+
+def _calls_scoring_step(node: ast.AST) -> bool:
+    """Calls ``normalize_falling`` or ``merge_index``, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("normalize_falling", "merge_index")
+
+
+def test_scoring_has_one_path():
+    """``feasibility.assess`` alone normalizes traits and merges them, so the
+    CLI table and the controller share one request-to-score path, and the
+    traced ``normalize_falling`` and ``merge_index`` rows cannot read 0
+    because a caller inlined them."""
+    assert _package_functions_where(_calls_scoring_step) == {"feasibility.assess"}
 
 
 def test_events_have_one_dispatcher():
