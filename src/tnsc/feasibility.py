@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonPositiveWeight, OutOfRange, UnknownDimension, ValidationError
@@ -68,24 +69,32 @@ class FeasibilityVector(_VectorFields):
     ``numeric_traits`` holds the three falling-normalized dimensions in the
     fixed order of :data:`~tnsc.model.DIMENSIONS`; Boolean traits never mix
     into the numeric merge and only serve to group vectors. A named tuple
-    whose constructor checks the order and the [0, 1] range; ``_replace``
-    and ``_make`` go through the constructor, so they check them again.
+    whose constructor copies both trait maps into read-only views, so no
+    later edit reaches them, and checks the copy's order and [0, 1] range;
+    ``_replace``, ``_make``, pickle and ``copy`` go through the constructor,
+    so they check them again.
     """
 
     __slots__ = ()
 
     def __new__(cls, slice_id: str, boolean_traits: Mapping[str, bool],
                 numeric_traits: Mapping[str, TraitValue]) -> FeasibilityVector:
+        numeric_traits = MappingProxyType(dict(numeric_traits))
         if tuple(numeric_traits) != DIMENSIONS:
             raise UnknownDimension(str(tuple(numeric_traits)))
         for label, trait in numeric_traits.items():
             if not 0.0 <= trait.value <= 1.0:
                 raise OutOfRange(trait.raw, trait.l, trait.h, dimension=label)
-        return tuple.__new__(cls, (slice_id, boolean_traits, numeric_traits))
+        return tuple.__new__(cls, (slice_id, MappingProxyType(dict(boolean_traits)),
+                                   numeric_traits))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> FeasibilityVector:
         return cls(*iterable)
+
+    def __getnewargs__(self) -> tuple:
+        # A mappingproxy cannot be pickled; the constructor wraps them again.
+        return self.slice_id, dict(self.boolean_traits), dict(self.numeric_traits)
 
     def boolean_signature(self) -> tuple[bool, ...]:
         return tuple(self.boolean_traits[k] for k in sorted(self.boolean_traits))
@@ -143,7 +152,7 @@ def assess(request: SliceRequest, bounds: TraitBounds,
     if errors:
         return Assessment(request.id, traits, tuple(errors))
     vector = FeasibilityVector(request.id, {"control": request.control}, traits)
-    return Assessment(request.id, traits, (), vector, merge_index(
+    return Assessment(request.id, vector.numeric_traits, (), vector, merge_index(
         vector, weights if request.weights is None else request.weights))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from functools import cached_property
 
@@ -43,18 +43,6 @@ def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
             raise ValidationError(role, f"unknown node {node!r}")
     if src == dst:
         raise ValidationError("dst", "src and dst must differ")
-
-
-def _resolve_usable(topology: NetworkTopology,
-                    usable_links: Iterable[str] | None) -> frozenset[str]:
-    """The usable links (all when None) as a frozenset, checked by one set difference."""
-    if usable_links is None:
-        return frozenset(topology.link_by_id)
-    usable = frozenset(usable_links)
-    unknown = usable - topology.link_by_id.keys()
-    if unknown:
-        raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
-    return usable
 
 
 class _Network:
@@ -181,7 +169,9 @@ class DisjointSearch:
     refuses to run after it. In SRLG mode ``count()`` takes the link-mode
     ceiling from flow 0, and both calls resume one depth-first walk of at
     most ``srlg_budget`` heap pops, whose first set of each size wins.
-    ``usable`` is a frozenset, and masking touches only the links it excludes.
+    ``usable`` is a frozenset. One set difference against the compiled links
+    finds the links to mask, and its size alone tells whether any usable id
+    is unknown: the sorted unknown ids are found only to report them.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
@@ -194,7 +184,8 @@ class DisjointSearch:
         self.src = src
         self.dst = dst
         self.mode = mode = DisjointnessMode(mode)
-        self.usable = _resolve_usable(topology, usable_links)
+        self.usable = frozenset(topology.link_by_id if usable_links is None
+                                else usable_links)
         self.srlg_budget = srlg_budget
         self._flow = 0
         self._counted = False
@@ -216,8 +207,11 @@ class DisjointSearch:
         outgoing = list(map(list, network.outgoing))
         src, dst = network.index[self.src], network.index[self.dst]
         first = network.link_arcs
-        masked = [e for link in first.keys() - self.usable
-                  for e in (first[link], first[link] + 1)]
+        excluded = first.keys() - self.usable
+        if len(excluded) + len(self.usable) > len(first):  # some id is not a link
+            unknown = sorted(self.usable - first.keys())
+            raise ValidationError("usable_links", f"unknown links {unknown}")
+        masked = [e for link in excluded for e in (first[link], first[link] + 1)]
         for e in masked + ([src, dst] if network.width == 2 else []):
             outgoing[residual[e][0]].remove(e)
             residual[e] = None

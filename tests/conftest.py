@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from tnsc import (
-    AllocationState,
     Bound,
     BoundsMode,
-    Controller,
     PortSpec,
     SliceRequest,
     TraitBounds,
     validate_topology,
 )
+
+from .oracles import assert_conserved  # noqa: F401  (re-exported for the suites)
 
 
 def make_topology(nodes, links, devices=()):
@@ -84,41 +84,3 @@ def ts1():
 @pytest.fixture
 def ts2():
     return make_request("TS_2", p=3, d=12, s=3)
-
-
-def assert_conserved(controller: Controller) -> None:
-    """Ledger conservation plus the allocation invariants of active slices."""
-    from tnsc import verify_disjoint
-
-    active = [record for record in controller.records.values()
-              if record.state is AllocationState.ACTIVE]
-    for record in active:
-        request = controller.requests[record.slice_id]
-        assert len(record.paths) == request.disjoint_paths, record.slice_id
-        assert verify_disjoint(controller.topology, record.paths,
-                               controller.mode), record.slice_id
-        covered = {link for path in record.paths for link in path.links}
-        assert set(record.slots_per_link) == covered, record.slice_id
-        assert all(slots == request.calendar_slots
-                   for slots in record.slots_per_link.values()), record.slice_id
-    for link in controller.topology.links:
-        held = sum(record.slots_per_link.get(link.id, 0) for record in active)
-        residual = controller.ledger.residual_slots[link.id]
-        assert held + residual == link.slot_capacity, link.id
-        assert residual >= 0
-    for device in controller.topology.devices:
-        for group in device.port_groups:
-            key = (device.node, group.port_type, group.gbps)
-            held = sum(
-                spec.count
-                for record in active
-                for node, spec in record.ports_per_device.items()
-                if node == device.node and spec.port_type == group.port_type
-                and spec.gbps == group.gbps
-            )
-            residual = controller.ledger.residual_ports[key]
-            assert held + residual == group.count, key
-            assert residual >= 0
-    holders = {record.slice_id for record in active
-               if record.control_context is not None}
-    assert set(controller.ledger.control_contexts) == holders

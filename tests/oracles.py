@@ -23,7 +23,10 @@ is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
 with a fresh budget for every call. That name-keyed view (``adjacency``,
 ``link_between`` and ``path_through``) lives here, since the library walks
-only its compiled network.
+only its compiled network. ``assert_conserved`` is the ledger invariant
+check that the controller's unit tests, the acceptance suite and the
+controller differential share. Like the rest of this module it needs only
+the stdlib, so the full runs need no pytest.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import heapq
 import json
 import math
 import random
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tnsc import AllocationState, DisjointnessMode, NetworkTopology, Path, validate_topology
-from tnsc.controller import LINK_UP, ResourceLedger
+from tnsc.controller import LINK_UP, Controller, ResourceLedger
 from tnsc.errors import (
     InsufficientDiversity,
     NonPositiveWeight,
@@ -68,7 +72,7 @@ from tnsc.model import (
     derive_bounds,
     weights_from_dict,
 )
-from tnsc.pathfind import DisjointSearch
+from tnsc.pathfind import DisjointSearch, verify_disjoint
 from tnsc.scenario import _index_fields
 
 
@@ -470,6 +474,40 @@ def reference_stale_scan(records: Mapping, link_id: str) -> list[str]:
         ):
             affected.append(slice_id)
     return affected
+
+
+def assert_conserved(controller: Controller) -> None:
+    """Ledger conservation plus the allocation invariants of active slices.
+    One pass over the active records sums what they hold."""
+    active = [record for record in controller.records.values()
+              if record.state is AllocationState.ACTIVE]
+    held_slots: Counter = Counter()
+    held_ports: Counter = Counter()
+    for record in active:
+        request = controller.requests[record.slice_id]
+        assert len(record.paths) == request.disjoint_paths, record.slice_id
+        assert verify_disjoint(controller.topology, record.paths,
+                               controller.mode), record.slice_id
+        covered = {link for path in record.paths for link in path.links}
+        assert set(record.slots_per_link) == covered, record.slice_id
+        assert all(slots == request.calendar_slots
+                   for slots in record.slots_per_link.values()), record.slice_id
+        held_slots.update(record.slots_per_link)
+        for node, spec in record.ports_per_device.items():
+            held_ports[node, spec.port_type, spec.gbps] += spec.count
+    for link in controller.topology.links:
+        residual = controller.ledger.residual_slots[link.id]
+        assert held_slots[link.id] + residual == link.slot_capacity, link.id
+        assert residual >= 0
+    for device in controller.topology.devices:
+        for group in device.port_groups:
+            key = (device.node, group.port_type, group.gbps)
+            residual = controller.ledger.residual_ports[key]
+            assert held_ports[key] + residual == group.count, key
+            assert residual >= 0
+    holders = {record.slice_id for record in active
+               if record.control_context is not None}
+    assert set(controller.ledger.control_contexts) == holders
 
 
 def falling_fraction(r: int, l: int, h: int) -> Fraction:

@@ -1,17 +1,21 @@
-"""Differential check of the controller's per-decision set algebra against
-the per-link definitions it replaced (``tests.oracles.reference_usable_links``
-and ``tests.oracles.reference_stale_scan``).
+"""Differential and property check of the controller on graphs of 50 to
+400 nodes.
 
-Each seeded scenario plays through ``run_scenario``. Its topology has 50 to
-400 nodes, from ``random_graph_dict`` or a ring with chords, with a few
-slots per link; it runs in link or node mode, under static or derived
-bounds, through arrivals, releases and link flaps. After every event, and
-after the reconfiguration a link failure starts, the controller's usable
-links for every slot count a request may ask for, and for 0, must equal the
-reference's. A link failure must return, and mark stale, exactly the
-slices the reference scan finds, in the same order.
+Each seeded scenario plays through ``run_scenario``: a topology from
+``random_graph_dict`` or a ring with chords, with a few slots per link, in
+link or node mode, under static or derived bounds, through arrivals,
+releases and link flaps. After every event, and after the reconfiguration
+a link failure starts, the controller's usable links for every slot count
+a request may ask for, and for 0, must equal the per-link
+``reference_usable_links``; a link failure must return, and mark stale,
+exactly the slices ``reference_stale_scan`` finds, in order. At the same
+points ``assert_conserved`` holds, no active slice that is not stale
+crosses a down link, and a failed event or a rejected arrival has left the
+ledger item for item as it was.
 
-Tier-1 runs the first scenarios; the full run hashes every report:
+Each scenario must admit some slice. Tier-1 runs the first scenarios and
+replays the first through a plain ``run_scenario`` for the same report
+bytes; the full run hashes every report:
 
     PYTHONPATH=src python -m tests.test_controller_differential --graphs 400
 """
@@ -21,11 +25,13 @@ from __future__ import annotations
 import random
 from unittest import mock
 
-from tnsc import Controller, EventKind, report_to_json, run_scenario, scenario
+from tnsc import AllocationState, Controller, EventKind, report_to_json, run_scenario, scenario
+from tnsc.controller import LINK_DOWN
 from tnsc.scenario import scenario_from_dict
 
 from .differential import checked, main
-from .oracles import random_graph_dict, reference_stale_scan, reference_usable_links
+from .oracles import (assert_conserved, random_graph_dict, reference_stale_scan,
+                      reference_usable_links)
 
 SEED = 9009
 TIER1_GRAPHS = 12
@@ -92,27 +98,44 @@ def random_scenario(rng: random.Random) -> dict:
 
 class _Checked(Controller):
     """A controller that records, after each event and each
-    reconfiguration, (label, outcome, reference outcome) in ``checks``."""
+    reconfiguration, (label, outcome, reference outcome) in ``checks``, and
+    asserts the ledger invariants there."""
 
     def __init__(self, checks: list, label: tuple, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.checks, self.label, self.seq = checks, label, None
 
-    def _check_usable(self, phase: str) -> None:
+    def _ledger_items(self) -> list:
+        return [list(table.items()) for table in vars(self.ledger).values()]
+
+    def _check(self, phase: str) -> None:
         for slots in range(MOST_SLOTS + 1):
             self.checks.append((self.label + (self.seq, phase, slots),
                                 self._usable_links(slots),
                                 reference_usable_links(self.ledger, slots)))
+        assert_conserved(self)
+        down = {link for link, state in self.ledger.link_state.items()
+                if state == LINK_DOWN}
+        for record in self.records.values():
+            if record.state is AllocationState.ACTIVE and not record.stale:
+                assert down.isdisjoint(link for path in record.paths
+                                       for link in path.links), record.slice_id
 
     def apply_event(self, event):
         self.seq = event.seq
+        before = self._ledger_items()
         expected = None
         if event.kind is EventKind.LINK_DOWN:
             expected = reference_stale_scan(self.records, event.link_id)
+        failed = True
         try:
             affected = super().apply_event(event)
+            failed = (event.kind is EventKind.REQUEST_ARRIVAL and
+                      self.records[event.request.id].state is AllocationState.REJECTED)
         finally:
-            self._check_usable("event")
+            if failed:
+                assert self._ledger_items() == before, self.label + (self.seq,)
+            self._check("event")
         if expected is not None:
             stale = [slice_id for slice_id in sorted(self.records)
                      if self.records[slice_id].stale]
@@ -122,7 +145,7 @@ class _Checked(Controller):
 
     def reconfigure(self, affected):
         entries = super().reconfigure(affected)
-        self._check_usable("reconfigure")
+        self._check("reconfigure")
         return entries
 
 
@@ -137,7 +160,10 @@ def controller_cases(seed: int, graphs: int):
         checks: list = []
         with mock.patch.object(scenario, "Controller",
                                lambda *args: _Checked(checks, label, *args)):
-            digested = report_to_json(run_scenario(played)).encode()
+            report = run_scenario(played)
+        assert any(entry["action"] == "admit" and entry["outcome"] == "active"
+                   for entry in report.entries), label
+        digested = report_to_json(report).encode()
         for check in checks:
             yield *check, digested
             digested = b""
@@ -147,10 +173,14 @@ STREAMS = {"scenarios": (controller_cases, SEED, 400)}
 
 
 def test_controller_matches_reference():
-    checks = list(checked(controller_cases(SEED, TIER1_GRAPHS)))
+    cases = list(controller_cases(SEED, TIER1_GRAPHS))
+    checks = list(checked(cases))
     stale = sum(label[-1] == "stale" and bool(outcome[0]) for label, outcome in checks)
     assert len(checks) > 4 * EVENTS * TIER1_GRAPHS
     assert stale > TIER1_GRAPHS
+    assert {label[2] for label, _outcome in checks} == {"link_disjoint", "node_disjoint"}
+    first = scenario_from_dict(random_scenario(random.Random(SEED)))
+    assert report_to_json(run_scenario(first)).encode() == cases[0][-1]
 
 
 if __name__ == "__main__":

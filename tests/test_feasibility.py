@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -373,9 +374,31 @@ class TestValueSemantics:
         for twin in copies:
             copied = twin()
             assert copied == vector and type(copied) is FeasibilityVector
-        # The trait map is a plain dict; a copy of a vector whose map went
-        # bad after construction is refused.
-        vector.numeric_traits["device"] = TraitValue(2, 2, 4, 1.5)
+            assert type(copied.numeric_traits) is MappingProxyType
+        # A copy of a vector built past the checks is refused.
+        traits = {**vector.numeric_traits, "device": TraitValue(2, 2, 4, 1.5)}
+        vector = tuple.__new__(FeasibilityVector, ("S", {"control": True}, traits))
         for twin in copies:
             with pytest.raises(OutOfRange):
                 twin()
+
+    def test_vector_trait_maps_cannot_be_assigned(self, table2_bounds):
+        assessment = assess(make_request(), table2_bounds)
+        vector = assessment.vector
+        assert assessment.traits is vector.numeric_traits
+        index = merge_index(vector).value
+        for traits, key, value in ((vector.numeric_traits, "device", TraitValue(2, 2, 4, 1.5)),
+                                   (vector.boolean_traits, "control", False)):
+            with pytest.raises(TypeError):
+                traits[key] = value
+        assert merge_index(vector).value == index == assessment.index.value
+
+    def test_vector_keeps_no_link_to_its_source_maps(self):
+        numeric = {dim: TraitValue(3, 2, 4, 0.5) for dim in DIMENSIONS}
+        boolean = {"control": True}
+        vector = FeasibilityVector("S", boolean, numeric)
+        numeric["device"] = TraitValue(2, 2, 4, 1.0)
+        boolean["control"] = False
+        assert merge_index(vector).value == 0.5
+        assert vector.numeric_traits["device"] == TraitValue(3, 2, 4, 0.5)
+        assert vector.boolean_signature() == (True,)

@@ -745,10 +745,21 @@ class TestUsableLinksTypes:
             assert outcomes == [outcomes[0]] * len(self.CONTAINERS)
 
     def test_unknown_ids_raise_the_same_error(self, four_cycle):
+        """The ids are checked once the network is compiled, so after each
+        refusal a valid search must still find what it finds on a freshly
+        parsed copy of the topology."""
+        fresh = make_topology("ABCD", [(link.id, link.a, link.b)
+                                       for link in four_cycle.links])
         messages = set()
         for container in self.CONTAINERS:
-            with pytest.raises(ValidationError) as caught:
-                k_disjoint_paths(four_cycle, "A", "C", 2, LINK,
-                                 usable_links=container(["L_ZZ", "L_AB", "L_XY", "L_ZZ"]))
-            messages.add((caught.value.element, caught.value.message))
+            for mode in (LINK, NODE, SRLG):
+                with pytest.raises(ValidationError) as caught:
+                    k_disjoint_paths(four_cycle, "A", "C", 2, mode,
+                                     usable_links=container(["L_ZZ", "L_AB", "L_XY", "L_ZZ"]))
+                messages.add((caught.value.element, caught.value.message))
+                found = [(k_disjoint_paths(topology, "A", "C", 1, mode,
+                                           usable_links=["L_BC", "L_CD", "L_DA"]),
+                          max_disjoint_count(topology, "A", "C", mode))
+                         for topology in (four_cycle, fresh)]
+                assert found[0] == found[1], (container, mode)
         assert messages == {("usable_links", "unknown links ['L_XY', 'L_ZZ']")}

@@ -8,6 +8,7 @@ the golden reports here too, event by event against ``play_event``.
 The package's modules must also import each other without a cycle at run
 time, the README's library example must run, each differential module's
 documented commands must be its streams and run through the one runner,
+the code those commands run must import nothing outside the stdlib,
 every public name must have a user, only the controller's booking rule
 may write the ledger's residual maps and control contexts, only
 ``scenario.play_event`` may apply events to a controller or reconfigure it,
@@ -25,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -153,6 +155,47 @@ def test_runtime_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as err:
         raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None
+
+
+def _imported(path: Path) -> Iterator[tuple[str, Path | None]]:
+    """The top-level name of each module ``path`` imports, a relative import
+    named from its package, and the file of each module of the tests."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            if node.level:
+                names = [f"{path.parent.name}.{name}" for name in names]
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            yield top, (ROOT / "tests" / f"{rest.split('.')[0]}.py"
+                        if top == "tests" and rest else None)
+
+
+def test_full_runs_need_only_the_stdlib():
+    """The package, the runner, the oracles, each differential module and
+    each test module they import import only the package, the tests and the
+    standard library, so every documented full run runs without pytest."""
+    todo = [*PACKAGE.glob("*.py"), ROOT / "tests" / "differential.py",
+            ROOT / "tests" / "oracles.py",
+            *(Path(module.__file__) for module in DIFFERENTIALS.values())]
+    seen: set[Path] = set()
+    outside = []
+    while todo:
+        path = todo.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        for top, module_file in _imported(path):
+            if top not in ("tnsc", "tests") and top not in sys.stdlib_module_names:
+                outside.append(f"{path.relative_to(ROOT)} imports {top}")
+            if module_file is not None and module_file.exists():
+                todo.append(module_file)
+    assert len(seen) > len(DIFFERENTIALS) + 2
+    assert not outside, outside
 
 
 def test_readme_library_example_runs(monkeypatch):
