@@ -37,10 +37,6 @@ from .model import (
 )
 from .pathfind import DisjointnessMode, DisjointSearch
 
-LINK_UP = "up"
-LINK_DOWN = "down"
-
-
 class ReconfigOrder(str, Enum):
     DESCENDING_INDEX = "descending_index"
     ASCENDING_INDEX = "ascending_index"
@@ -93,11 +89,12 @@ class Event:
 
 @dataclass
 class ResourceLedger:
-    """Mutable accounting of what remains allocatable."""
+    """Mutable accounting of what remains allocatable. A link is up unless
+    its id is in ``down_links``."""
 
     residual_slots: dict[str, int]
     residual_ports: dict[tuple[str, str, float], int]
-    link_state: dict[str, str]
+    down_links: set[str]
     control_contexts: dict[str, str]
 
     @classmethod
@@ -107,7 +104,7 @@ class ResourceLedger:
             residual_ports={(device.node, group.port_type, group.gbps): group.count
                             for device in topology.devices
                             for group in device.port_groups},
-            link_state={link.id: LINK_UP for link in topology.links},
+            down_links=set(),
             control_contexts={},
         )
 
@@ -115,7 +112,7 @@ class ResourceLedger:
         return ResourceLedger(
             residual_slots=dict(self.residual_slots),
             residual_ports=dict(self.residual_ports),
-            link_state=dict(self.link_state),
+            down_links=set(self.down_links),
             control_contexts=dict(self.control_contexts),
         )
 
@@ -185,10 +182,8 @@ class Controller:
     def _usable_links(self, slots_needed: int) -> frozenset[str]:
         """Every link less the few that are down or short of slots."""
         ledger = self.ledger
-        blocked = {lid for lid, left in ledger.residual_slots.items()
-                   if left < slots_needed}
-        blocked |= {lid for lid, state in ledger.link_state.items() if state != LINK_UP}
-        return self._links - blocked
+        return self._links - ledger.down_links - {
+            lid for lid, left in ledger.residual_slots.items() if left < slots_needed}
 
     def _rejected(self, request: SliceRequest, error: TnscError) -> AllocationRecord:
         return AllocationRecord(
@@ -253,7 +248,7 @@ class Controller:
         and node modes k paths exist exactly when the maximum flow is at
         least k, and in SRLG mode the count walks on past the first set of
         k paths a fresh ``paths(k)`` would meet, on the same budget."""
-        up_only = self._usable_links(0)
+        up_only = self._links - self.ledger.down_links
         if up_only == search.usable:
             return err
         if self._search(request, up_only).count() < request.disjoint_paths:
@@ -331,7 +326,7 @@ class Controller:
             self.release(event.slice_id)
             return [event.slice_id]
         if event.kind is EventKind.LINK_DOWN:
-            self.ledger.link_state[event.link_id] = LINK_DOWN
+            self.ledger.down_links.add(event.link_id)
             # An active record holds slots on exactly the links of its paths.
             affected = sorted(
                 slice_id for slice_id, record in self.records.items()
@@ -340,7 +335,7 @@ class Controller:
             for slice_id in affected:
                 self.records[slice_id] = replace(self.records[slice_id], stale=True)
             return affected
-        self.ledger.link_state[event.link_id] = LINK_UP
+        self.ledger.down_links.discard(event.link_id)
         return []
 
     # -- reconfiguration ----------------------------------------------------
@@ -407,7 +402,7 @@ class Controller:
                 "capacity": capacity,
                 "residual": residual,
                 "used": capacity - residual,
-                "state": self.ledger.link_state[link_id],
+                "state": "down" if link_id in self.ledger.down_links else "up",
             }
         devices: dict[str, dict] = {}
         for device in sorted(self.topology.devices, key=lambda d: d.node):

@@ -150,7 +150,7 @@ def assess(request: SliceRequest, bounds: TraitBounds,
         else:
             errors.append(OutOfRange(r, l, h, dim, request.id))
     if errors:
-        return Assessment(request.id, traits, tuple(errors))
+        return Assessment(request.id, MappingProxyType(traits), tuple(errors))
     vector = FeasibilityVector(request.id, {"control": request.control}, traits)
     return Assessment(request.id, vector.numeric_traits, (), vector, merge_index(
         vector, weights if request.weights is None else request.weights))

@@ -262,13 +262,15 @@ class DisjointSearch:
 
     def _decompose(self, k: int) -> list[Path]:
         """Split the unit flow into k walks, taking each node's carrying arcs
-        in (head, link id) order. Every cycle holds a link and so costs more
-        than zero, so a min-cost flow holds none and every walk is a simple
-        path."""
+        in (head, arc index) order, which is (head, link id) order: internal
+        arcs come first and link arcs follow in link-id order, and no two
+        carrying arcs into one head share a link. Every cycle holds a link
+        and so costs more than zero, so a min-cost flow holds none and every
+        walk is a simple path."""
         network = self._network
         arcs, links = network.arcs, network.links
         outgoing: dict[int, list[int]] = {}
-        for _, _, e in sorted((arcs[e][1], links[e] or "", e) for e in self._carrying):
+        for _, e in sorted((arcs[e][1], e) for e in self._carrying):
             outgoing.setdefault(arcs[e][0], []).append(e)
 
         paths = []

@@ -23,10 +23,10 @@ is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
 with a fresh budget for every call. That name-keyed view (``adjacency``,
 ``link_between`` and ``path_through``) lives here, since the library walks
-only its compiled network. ``assert_conserved`` is the ledger invariant
-check that the controller's unit tests, the acceptance suite and the
-controller differential share. Like the rest of this module it needs only
-the stdlib, so the full runs need no pytest.
+only its compiled network. ``ledger_errors`` lists each broken ledger
+invariant, which the controller differential counts as mismatches and the
+unit and acceptance suites assert through ``assert_conserved``. Like the
+rest of this module it needs only the stdlib, so full runs need no pytest.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tnsc import AllocationState, DisjointnessMode, NetworkTopology, Path, validate_topology
-from tnsc.controller import LINK_UP, Controller, ResourceLedger
+from tnsc.controller import Controller, ResourceLedger
 from tnsc.errors import (
     InsufficientDiversity,
     NonPositiveWeight,
@@ -458,8 +458,8 @@ def reference_usable_links(ledger, slots_needed: int) -> frozenset[str]:
     """The up links of ``ledger`` with at least ``slots_needed`` slots left,
     one link at a time."""
     return frozenset(
-        lid for lid, state in ledger.link_state.items()
-        if state == LINK_UP and ledger.residual_slots[lid] >= slots_needed
+        lid for lid, left in ledger.residual_slots.items()
+        if lid not in ledger.down_links and left >= slots_needed
     )
 
 
@@ -476,38 +476,45 @@ def reference_stale_scan(records: Mapping, link_id: str) -> list[str]:
     return affected
 
 
-def assert_conserved(controller: Controller) -> None:
-    """Ledger conservation plus the allocation invariants of active slices.
-    One pass over the active records sums what they hold."""
+def ledger_errors(controller: Controller) -> list[str]:
+    """Every broken ledger invariant, one message each. One pass over the
+    active records takes what they hold off capacity."""
+    ledger, errors = controller.ledger, []
     active = [record for record in controller.records.values()
               if record.state is AllocationState.ACTIVE]
-    held_slots: Counter = Counter()
-    held_ports: Counter = Counter()
+    slots = {link.id: link.slot_capacity for link in controller.topology.links}
+    ports = {(device.node, group.port_type, group.gbps): group.count
+             for device in controller.topology.devices for group in device.port_groups}
     for record in active:
-        request = controller.requests[record.slice_id]
-        assert len(record.paths) == request.disjoint_paths, record.slice_id
-        assert verify_disjoint(controller.topology, record.paths,
-                               controller.mode), record.slice_id
+        slice_id, request = record.slice_id, controller.requests[record.slice_id]
         covered = {link for path in record.paths for link in path.links}
-        assert set(record.slots_per_link) == covered, record.slice_id
-        assert all(slots == request.calendar_slots
-                   for slots in record.slots_per_link.values()), record.slice_id
-        held_slots.update(record.slots_per_link)
+        if (len(record.paths) != request.disjoint_paths
+                or not verify_disjoint(controller.topology, record.paths, controller.mode)):
+            errors.append(f"{slice_id} lacks {request.disjoint_paths} disjoint paths")
+        if record.slots_per_link != dict.fromkeys(covered, request.calendar_slots):
+            errors.append(f"{slice_id} holds slots off its paths or of the wrong count")
+        if not record.stale and not ledger.down_links.isdisjoint(covered):
+            errors.append(f"{slice_id} crosses a down link")
+        for link_id, held in record.slots_per_link.items():
+            slots[link_id] = slots.get(link_id, 0) - held
         for node, spec in record.ports_per_device.items():
-            held_ports[node, spec.port_type, spec.gbps] += spec.count
-    for link in controller.topology.links:
-        residual = controller.ledger.residual_slots[link.id]
-        assert held_slots[link.id] + residual == link.slot_capacity, link.id
-        assert residual >= 0
-    for device in controller.topology.devices:
-        for group in device.port_groups:
-            key = (device.node, group.port_type, group.gbps)
-            residual = controller.ledger.residual_ports[key]
-            assert held_ports[key] + residual == group.count, key
-            assert residual >= 0
-    holders = {record.slice_id for record in active
-               if record.control_context is not None}
-    assert set(controller.ledger.control_contexts) == holders
+            key = (node, spec.port_type, spec.gbps)
+            ports[key] = ports.get(key, 0) - spec.count
+    for name, residual, expected in (("slots", ledger.residual_slots, slots),
+                                     ("ports", ledger.residual_ports, ports)):
+        if residual != expected:
+            keys = sorted({key for key, _ in residual.items() ^ expected.items()})
+            errors.append(f"residual {name} not conserved at {keys}")
+        if min(residual.values(), default=0) < 0:
+            errors.append(f"residual {name} negative")
+    holders = {record.slice_id for record in active if record.control_context is not None}
+    if set(ledger.control_contexts) != holders:
+        errors.append(f"control contexts {sorted(ledger.control_contexts)} for {sorted(holders)}")
+    return errors
+
+
+def assert_conserved(controller: Controller) -> None:
+    assert not (errors := ledger_errors(controller)), errors
 
 
 def falling_fraction(r: int, l: int, h: int) -> Fraction:

@@ -265,6 +265,12 @@ class TestAssess:
             build_vector(make_request("TS_BAD", p=9, s=25), table2_bounds)
         assert err.value.detail() == result.errors[0].detail()
 
+    def test_out_of_range_traits_cannot_be_assigned(self, table2_bounds):
+        result = assess(make_request("TS_BAD", p=9, s=25), table2_bounds)
+        with pytest.raises(TypeError):
+            result.traits["topology"] = TraitValue(3, 2, 4, 0.5)
+        assert list(result.traits) == ["device"]
+
     def test_scores_like_build_vector_and_merge_index(self, ts1, table2_bounds):
         result = assess(ts1, table2_bounds, weights={"device": 2})
         assert result.errors == ()

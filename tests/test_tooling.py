@@ -297,21 +297,21 @@ def test_every_export_has_a_user():
 
 
 LEDGER_MAPS = {"residual_slots", "residual_ports", "control_contexts"}
-MUTATORS = {"pop", "update", "setdefault", "clear"}
+MUTATORS = {"pop", "update", "setdefault", "clear", *set(dir(set)) - set(dir(frozenset))}
 
 
-def _names_ledger_map(target: ast.AST) -> bool:
+def _names_ledger_map(target: ast.AST, maps: set[str]) -> bool:
     """``<expr>.<map>``, an item of it, or an unpacking that holds one."""
     if isinstance(target, (ast.Tuple, ast.List)):
-        return any(map(_names_ledger_map, target.elts))
+        return any(_names_ledger_map(elt, maps) for elt in target.elts)
     while isinstance(target, (ast.Subscript, ast.Starred)):
         target = target.value
-    return isinstance(target, ast.Attribute) and target.attr in LEDGER_MAPS
+    return isinstance(target, ast.Attribute) and target.attr in maps
 
 
-def _writes_ledger(node: ast.AST) -> bool:
-    """Assigns to, augments, deletes from or calls a mutating method on a
-    ledger map."""
+def _writes_ledger(node: ast.AST, maps: set[str] = LEDGER_MAPS) -> bool:
+    """Assigns to, augments, deletes from or calls a mutating method on one
+    of the ledger's ``maps``."""
     if isinstance(node, (ast.Assign, ast.Delete)):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -321,7 +321,7 @@ def _writes_ledger(node: ast.AST) -> bool:
         targets = [node.func.value]
     else:
         targets = []
-    return any(map(_names_ledger_map, targets))
+    return any(_names_ledger_map(target, maps) for target in targets)
 
 
 def _calls_event_method(node: ast.AST) -> bool:
@@ -356,6 +356,13 @@ def test_ledger_has_one_writer():
     alone, so a new ledger writer, or a cache kept beside the ledger, must
     hook in there."""
     assert _package_functions_where(_writes_ledger) == {"controller.Controller._book"}
+
+
+def test_down_links_have_one_writer():
+    """``Controller.apply_event`` alone marks links down and up, so the
+    ledger's one link state cannot drift from the events."""
+    assert (_package_functions_where(lambda node: _writes_ledger(node, {"down_links"}))
+            == {"controller.Controller.apply_event"})
 
 
 def _calls_scoring_step(node: ast.AST) -> bool:
