@@ -90,15 +90,20 @@ class Event:
 @dataclass
 class ResourceLedger:
     """Mutable accounting of what remains allocatable. A link is up unless
-    its id is in ``down_links``."""
+    its id is in ``down_links``. ``links_by_slots`` files each link under
+    its residual slot count; it holds no empty set."""
 
     residual_slots: dict[str, int]
     residual_ports: dict[tuple[str, str, float], int]
     down_links: set[str]
     control_contexts: dict[str, str]
+    links_by_slots: dict[int, set[str]]
 
     @classmethod
     def from_topology(cls, topology: NetworkTopology) -> "ResourceLedger":
+        index: dict[int, set[str]] = {}
+        for link in topology.links:
+            index.setdefault(link.slot_capacity, set()).add(link.id)
         return cls(
             residual_slots={link.id: link.slot_capacity for link in topology.links},
             residual_ports={(device.node, group.port_type, group.gbps): group.count
@@ -106,6 +111,7 @@ class ResourceLedger:
                             for group in device.port_groups},
             down_links=set(),
             control_contexts={},
+            links_by_slots=index,
         )
 
     def clone(self) -> "ResourceLedger":
@@ -114,7 +120,13 @@ class ResourceLedger:
             residual_ports=dict(self.residual_ports),
             down_links=set(self.down_links),
             control_contexts=dict(self.control_contexts),
+            links_by_slots={left: set(links) for left, links in self.links_by_slots.items()},
         )
+
+    def least_residual(self, slots_needed: int) -> int:
+        """The fewest slots, at least ``slots_needed``, left on an up link; 0 if none."""
+        return min((left for left, links in self.links_by_slots.items()
+                    if left >= slots_needed and not links <= self.down_links), default=0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,6 @@ class Controller:
         self.policy = policy
         self.control_context_limit = control_context_limit
         self.ledger = ResourceLedger.from_topology(topology)
-        self._links = frozenset(topology.link_by_id)
         self.records: dict[str, AllocationRecord] = {}
         self.requests: dict[str, SliceRequest] = {}
         self._last_seq: int | None = None
@@ -179,11 +190,11 @@ class Controller:
         self.requests[request.id] = request
         return record
 
-    def _usable_links(self, slots_needed: int) -> frozenset[str]:
-        """Every link less the few that are down or short of slots."""
-        ledger = self.ledger
-        return self._links - ledger.down_links - {
-            lid for lid, left in ledger.residual_slots.items() if left < slots_needed}
+    def _blocked_links(self, slots_needed: int) -> set[str]:
+        """The down links and those short of slots, found from the slot
+        index's keys: never ``range(slots_needed)``, which may be huge."""
+        down, index = self.ledger.down_links, self.ledger.links_by_slots
+        return down.union(*(index[left] for left in index if left < slots_needed))
 
     def _rejected(self, request: SliceRequest, error: TnscError) -> AllocationRecord:
         return AllocationRecord(
@@ -200,7 +211,7 @@ class Controller:
                 return self._rejected(request, NoDevice(node))
 
         # Pre-search pruning keeps any returned path set slot-feasible.
-        search = self._search(request, self._usable_links(request.calendar_slots))
+        search = self._search(request, self._blocked_links(request.calendar_slots))
         try:
             paths = search.paths(request.disjoint_paths)
         except InsufficientDiversity as err:
@@ -236,9 +247,9 @@ class Controller:
         self._book(record, -1)
         return record
 
-    def _search(self, request: SliceRequest, usable: frozenset[str]) -> DisjointSearch:
+    def _search(self, request: SliceRequest, blocked: set[str]) -> DisjointSearch:
         return DisjointSearch(self.topology, request.src, request.dst, self.mode,
-                              usable_links=usable)
+                              blocked_links=blocked)
 
     def _diversity_reason(self, request: SliceRequest, search: DisjointSearch,
                           err: InsufficientDiversity) -> TnscError:
@@ -248,19 +259,19 @@ class Controller:
         and node modes k paths exist exactly when the maximum flow is at
         least k, and in SRLG mode the count walks on past the first set of
         k paths a fresh ``paths(k)`` would meet, on the same budget."""
-        up_only = self._links - self.ledger.down_links
-        if up_only == search.usable:
+        down = self.ledger.down_links
+        if search.blocked == down:
             return err
-        if self._search(request, up_only).count() < request.disjoint_paths:
+        if self._search(request, down).count() < request.disjoint_paths:
             return err
         return SlotExhausted(request.calendar_slots)
 
     def _evaluate(self, request: SliceRequest, search: DisjointSearch) -> Assessment:
         """Derived bounds count diversity on ``search``; static bounds ignore it."""
-        bounds = self.bounds
+        bounds, ledger = self.bounds, self.ledger
         if bounds.mode is BoundsMode.DERIVED:
-            bounds = derive_bounds(request, search, self.ledger.residual_slots,
-                                   self.ledger.residual_ports)
+            bounds = derive_bounds(request, search, ledger.least_residual(request.calendar_slots),
+                                   ledger.residual_ports)
         return assess(request, bounds)
 
     def _appraisal(self, record: AllocationRecord) -> Assessment:
@@ -274,7 +285,7 @@ class Controller:
                               record.index)
         request = self.requests[record.slice_id]
         return self._evaluate(
-            request, self._search(request, self._usable_links(request.calendar_slots)))
+            request, self._search(request, self._blocked_links(request.calendar_slots)))
 
     # -- release ------------------------------------------------------------
 
@@ -293,10 +304,15 @@ class Controller:
 
     def _book(self, record: AllocationRecord, sign: int) -> None:
         """Debit (sign -1) or credit (+1) everything an active record holds.
-        The only code that writes the residual maps and the contexts."""
+        The only code that writes the residual maps, slot index and contexts."""
         ledger = self.ledger
         for link_id, slots in record.slots_per_link.items():
-            ledger.residual_slots[link_id] += sign * slots
+            left = ledger.residual_slots[link_id]
+            ledger.links_by_slots[left].remove(link_id)
+            if not ledger.links_by_slots[left]:
+                del ledger.links_by_slots[left]
+            ledger.residual_slots[link_id] = left = left + sign * slots
+            ledger.links_by_slots.setdefault(left, set()).add(link_id)
         for node, spec in record.ports_per_device.items():
             ledger.residual_ports[(node, spec.port_type, spec.gbps)] += sign * spec.count
         if sign < 0 and record.control_context is not None:

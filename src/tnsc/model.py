@@ -12,7 +12,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -475,18 +474,18 @@ def _check_endpoint_ports(topology: NetworkTopology, request: SliceRequest) -> N
             raise NoMatchingPorts(node, spec.port_type, spec.gbps)
 
 
-def derive_bounds(request: SliceRequest, search: DisjointSearch,
-                  residual_slots: Mapping[str, int],
+def derive_bounds(request: SliceRequest, search: DisjointSearch, least_slots: int,
                   residual_ports: Mapping[tuple[str, str, float], int]) -> TraitBounds:
     """Resolve per-request trait ranges against the network ``search`` sees:
     it fixes the topology, the disjointness mode and the usable links.
 
     Upper bounds: the diversity ``search.count()`` finds, which resumes its
     flow and ends its ``paths()``; the smaller residual inventory of the
-    matching port group at the two endpoints; and the smallest residual slot
-    pool among the search's usable links. The controller passes the
-    admission's search and its live ledger; an unrestricted search over a
-    fresh ledger's residuals gives the ranges of the topology as built.
+    matching port group at the two endpoints; and ``least_slots``, the
+    smallest residual slot pool among the search's usable links (0 if none).
+    The controller passes the admission's search and its live ledger's
+    ``least_residual``; an unrestricted search with a fresh ledger's
+    ``least_residual(0)`` and ports gives the ranges of the topology as built.
 
     Raises NoDevice when an endpoint has no device profile and
     NoMatchingPorts when no port group matches the requested kind.
@@ -495,10 +494,9 @@ def derive_bounds(request: SliceRequest, search: DisjointSearch,
     spec = request.client_ports
     ports = min(residual_ports.get((node, spec.port_type, spec.gbps), 0)
                 for node in (request.src, request.dst))
-    slots = min(map(residual_slots.get, search.usable, repeat(0)), default=0)
     return TraitBounds(
         mode=BoundsMode.DERIVED,
         topology=Bound(DIMENSION_FLOORS["topology"], search.count()),
         device=Bound(DIMENSION_FLOORS["device"], ports),
-        data_plane=Bound(DIMENSION_FLOORS["data_plane"], slots),
+        data_plane=Bound(DIMENSION_FLOORS["data_plane"], least_slots),
     )

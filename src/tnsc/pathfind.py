@@ -11,7 +11,8 @@ passes in arc order would. The first path is an A* search, its potential
 starting at minus the hop distance to the destination; ties break the same.
 That is optimal and immune to the trap topologies that defeat greedy
 removal. The maximum diversity comes from breadth-first max-flow
-augmentation resumed from the same flow on the same arcs. Risk-group
+augmentation resumed from the same flow on the same arcs, stopped at the
+cut of the source's or the destination's usable links. Risk-group
 disjointness is NP-complete, so that mode walks one budget-bounded depth-first
 tree per search, resumed by each call, and reports budget exhaustion.
 """
@@ -21,9 +22,10 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 from .errors import InsufficientDiversity, ValidationError
 from .model import NetworkTopology, Path
@@ -53,7 +55,8 @@ class _Network:
     node-disjointness in the original. Each link's a->b and b->a arcs follow
     in link id order; ``link_arcs`` maps each link id to the first. Arc e is
     (tail, head, cost, e); it carries flow while its residual entry is the
-    reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs.
+    reverse (head, tail, -cost, e). ``outgoing`` lists each node's arcs,
+    ``neighbours`` each original node's neighbours over every link, by index.
     ``starts`` memoizes per destination minus each node's hop distance to it
     over every link (the node count if none): as the start potential of
     searches, which only mask arcs, it makes the first path search A*."""
@@ -76,22 +79,24 @@ class _Network:
             outgoing[tail].append(e)
         self.arcs, self.links = tuple(arcs), tuple(links)
         self.outgoing = tuple(map(tuple, outgoing))
+        self.neighbours = tuple(tuple(arcs[e][1] // width for e in outgoing[i + width - 1])
+                                for i in range(0, len(outgoing), width))
         self.starts: dict[int, list[int]] = {}
 
     def start_potential(self, dst: int) -> list[int]:
         """Node ``dst``'s entry in ``starts``, shared: callers copy it."""
         if dst not in self.starts:
             far = len(self.names)
-            hops, queue = [far] * far, [dst]
+            hops, queue, neighbours = [far] * far, [dst], self.neighbours
             hops[dst] = 0
             for node in queue:
-                for e in self.outgoing[self.width * node + self.width - 1]:
-                    head = self.arcs[e][1] // self.width
+                for head in neighbours[node]:
                     if hops[head] == far:
                         hops[head] = hops[node] + 1
                         queue.append(head)
             negated = [-h for h in range(far + 1)]  # one int object per value
-            self.starts[dst] = [negated[h] for h in hops for _ in range(self.width)]
+            start = [negated[h] for h in hops]
+            self.starts[dst] = start if self.width == 1 else [*chain(*zip(start, start))]
         return self.starts[dst]
 
 
@@ -164,28 +169,26 @@ class DisjointSearch:
     carry over from one ``paths()`` call to the next from the A* start in
     ``_Network.starts``, so a larger k resumes the same flow. ``count()``
     resumes from that flow with breadth-first augmenting paths until none is
-    left, since a maximum flow's value does not depend on the augmenting
+    left or the flow fills the cut of the source's or the sink's usable
+    arcs, since a maximum flow's value does not depend on the augmenting
     order. The flow is no longer min-cost after ``count()``, so ``paths()``
     refuses to run after it. In SRLG mode ``count()`` takes the link-mode
     ceiling from flow 0, and both calls resume one depth-first walk of at
     most ``srlg_budget`` heap pops, whose first set of each size wins.
-    ``usable`` is a frozenset. One set difference against the compiled links
-    finds the links to mask, and its size alone tells whether any usable id
-    is unknown: the sorted unknown ids are found only to report them.
+    Set-up costs what ``blocked`` masks; ``usable`` is built when asked for.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
                  mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
                  *,
-                 usable_links: frozenset[str] | set[str] | None = None,
+                 blocked_links: Iterable[str] = (),
                  srlg_budget: int = DEFAULT_SRLG_BUDGET):
         _check_endpoints(topology, src, dst)
         self.topology = topology
         self.src = src
         self.dst = dst
         self.mode = mode = DisjointnessMode(mode)
-        self.usable = frozenset(topology.link_by_id if usable_links is None
-                                else usable_links)
+        self.blocked = frozenset(blocked_links)
         self.srlg_budget = srlg_budget
         self._flow = 0
         self._counted = False
@@ -197,34 +200,42 @@ class DisjointSearch:
         # dropped with the topology. Each search copies it and masks the arcs
         # of the links it excludes and, when split, the endpoints' internal
         # arcs, which every path shares: a masked arc is None and leaves its
-        # tail's list. The rest keep their positions and relative order.
+        # tail's tuple. The rest keep their positions and relative order. A
+        # node's tuple is shared with the network until the search replaces it.
         key = (id(self.topology), split)
         if key not in _NETWORKS:
             _NETWORKS[key] = _Network(self.topology, split)
             weakref.finalize(self.topology, _NETWORKS.pop, key, None)
         self._network = network = _NETWORKS[key]
         residual: list[tuple[int, int, int, int] | None] = list(network.arcs)
-        outgoing = list(map(list, network.outgoing))
+        outgoing = list(network.outgoing)
         src, dst = network.index[self.src], network.index[self.dst]
         first = network.link_arcs
-        excluded = first.keys() - self.usable
-        if len(excluded) + len(self.usable) > len(first):  # some id is not a link
-            unknown = sorted(self.usable - first.keys())
-            raise ValidationError("usable_links", f"unknown links {unknown}")
-        masked = [e for link in excluded for e in (first[link], first[link] + 1)]
-        for e in masked + ([src, dst] if network.width == 2 else []):
-            outgoing[residual[e][0]].remove(e)
+        if unknown := self.blocked - first.keys():
+            raise ValidationError("blocked_links", f"unknown links {sorted(unknown)}")
+        masked = {src, dst} if network.width == 2 else set()
+        masked.update(e for link in self.blocked for e in (first[link], first[link] + 1))
+        for tail in {residual[e][0] for e in masked}:
+            outgoing[tail] = tuple(e for e in outgoing[tail] if e not in masked)
+        for e in masked:
             residual[e] = None
         self._residual, self._outgoing = residual, outgoing
         self._carrying: set[int] = set()  # the arcs that carry flow
         self._potential = list(network.start_potential(dst))
         self._source = network.width * src + network.width - 1
         self._sink = network.width * dst
+        # No flow exceeds the usable links at src or at dst (dst's egress arcs).
+        self._cut = min(len(outgoing[self._source]), len(outgoing[self._sink + network.width - 1]))
+
+    @cached_property
+    def usable(self) -> frozenset[str]:
+        """Every link the search does not mask."""
+        return frozenset(self.topology.link_by_id.keys() - self.blocked)
 
     def _augment_to(self, k: float, find_path: Callable[[], list | None]) -> int:
         """Augment along the paths ``find_path`` traces, as predecessor arcs
         from the sink, until the flow is k or no path is left."""
-        residual = self._residual
+        residual, outgoing = self._residual, self._outgoing
         while self._flow < k:
             pred = find_path()
             if pred is None:
@@ -234,8 +245,9 @@ class DisjointSearch:
                 tail, head, cost, e = residual[pred[node]]
                 residual[e] = (head, tail, -cost, e)
                 self._carrying ^= {e}
-                self._outgoing[tail].remove(e)
-                self._outgoing[head].append(e)
+                at = outgoing[tail].index(e)
+                outgoing[tail] = outgoing[tail][:at] + outgoing[tail][at + 1:]
+                outgoing[head] += (e,)
                 node = tail
             self._flow += 1
         return self._flow
@@ -311,9 +323,9 @@ class DisjointSearch:
 
     def count(self) -> int:
         """The diversity of ``max_disjoint_count``, resumed from the flow
-        ``paths`` left."""
+        ``paths`` left and stopped at the endpoint cut."""
         self._counted = True
-        ceiling = self._augment_to(math.inf, self._breadth_first)
+        ceiling = self._augment_to(self._cut, self._breadth_first)
         if self.mode is not DisjointnessMode.SRLG_DISJOINT:
             return ceiling
         # A fresh walk for any k takes the same steps on the same budget up to
@@ -367,6 +379,17 @@ class DisjointSearch:
                     heapq.heappush(heap, (hops + 1, nodes + (head,), path_links + (links[e],)))
 
 
+def _usable_search(topology: NetworkTopology, src: str, dst: str, mode: DisjointnessMode,
+                   usable_links: Iterable[str] | None, srlg_budget: int) -> DisjointSearch:
+    """A search blocking the links outside ``usable_links`` (none if None)."""
+    _check_endpoints(topology, src, dst)  # endpoint errors first, as in the search
+    usable = topology.link_by_id.keys() if usable_links is None else set(usable_links)
+    if unknown := usable - topology.link_by_id.keys():
+        raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
+    return DisjointSearch(topology, src, dst, mode, srlg_budget=srlg_budget,
+                          blocked_links=topology.link_by_id.keys() - usable)
+
+
 def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
                      mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
                      *,
@@ -381,8 +404,7 @@ def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
     exists. The returned list is sorted by (hop count, node sequence) and is
     deterministic for identical inputs.
     """
-    return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
-                          srlg_budget=srlg_budget).paths(k)
+    return _usable_search(topology, src, dst, mode, usable_links, srlg_budget).paths(k)
 
 
 def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
@@ -396,8 +418,7 @@ def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
     mode walks on until it meets a set as large as the link-mode count, and
     is conservative when its ``srlg_budget`` heap pops run out.
     """
-    return DisjointSearch(topology, src, dst, mode, usable_links=usable_links,
-                          srlg_budget=srlg_budget).count()
+    return _usable_search(topology, src, dst, mode, usable_links, srlg_budget).count()
 
 
 def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],

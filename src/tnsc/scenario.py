@@ -399,7 +399,7 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 _check_endpoint_ports(topology, request)
                 resolved = derive_bounds(
                     request, DisjointSearch(topology, request.src, request.dst, mode),
-                    ledger.residual_slots, ledger.residual_ports)
+                    ledger.least_residual(0), ledger.residual_ports)
             except TnscError as err:
                 row = {"slice": request.id, "control": request.control,
                        "status": err.reason, "error": err.detail(),

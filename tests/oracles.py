@@ -454,6 +454,11 @@ def reference_srlg_disjoint(topology: NetworkTopology, src: str, dst: str, k: in
     return list(result)
 
 
+def blocked_by(topology: NetworkTopology, usable) -> set[str]:
+    """The ``blocked_links`` of a search over ``usable`` (every link when None)."""
+    return set() if usable is None else set(topology.link_by_id) - set(usable)
+
+
 def reference_usable_links(ledger, slots_needed: int) -> frozenset[str]:
     """The up links of ``ledger`` with at least ``slots_needed`` slots left,
     one link at a time."""
@@ -507,6 +512,14 @@ def ledger_errors(controller: Controller) -> list[str]:
             errors.append(f"residual {name} not conserved at {keys}")
         if min(residual.values(), default=0) < 0:
             errors.append(f"residual {name} negative")
+    filed: dict[int, set[str]] = {}  # each link in its residual's bucket, none empty
+    for link_id, left in ledger.residual_slots.items():
+        filed.setdefault(left, set()).add(link_id)
+    index = ledger.links_by_slots
+    if index != filed:
+        keys = sorted(key for key in index.keys() | filed.keys()
+                      if index.get(key) != filed.get(key))
+        errors.append(f"slot index differs from the residual slots at {keys}")
     holders = {record.slice_id for record in active if record.control_context is not None}
     if set(ledger.control_contexts) != holders:
         errors.append(f"control contexts {sorted(ledger.control_contexts)} for {sorted(holders)}")
@@ -702,7 +715,7 @@ def reference_evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 _check_endpoint_ports(topology, request)
                 resolved = derive_bounds(
                     request, DisjointSearch(topology, request.src, request.dst, mode),
-                    ledger.residual_slots, ledger.residual_ports)
+                    min(ledger.residual_slots.values(), default=0), ledger.residual_ports)
             else:
                 resolved = bounds
         except TnscError as err:

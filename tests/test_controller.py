@@ -113,6 +113,9 @@ class TestAdmit:
             is AllocationState.ACTIVE
         blocked = controller.admit(make_request("TS_b", d=1, s=2))
         assert blocked.rejection.reason == "SlotExhausted"
+        # The blocked links come from the slot index's keys, not range(s).
+        huge = controller.admit(make_request("TS_c", d=1, s=10**18))
+        assert huge.rejection.reason == "SlotExhausted"
         assert_conserved(controller)
 
     def test_static_bounds_out_of_range(self, four_cycle):
@@ -625,7 +628,7 @@ class TestSrlgAdmission:
     def test_derived_bounds_record_srlg_diversity(self, ts1):
         topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
         controller = Controller(topology, mode=SRLG)
-        usable = controller._usable_links(ts1.calendar_slots)
+        usable = set(topology.link_by_id) - controller._blocked_links(ts1.calendar_slots)
         record = controller.admit(ts1)
         assert record.state is AllocationState.ACTIVE
         srlg_count = max_disjoint_count(topology, "A", "C", SRLG, usable_links=usable)
@@ -657,11 +660,10 @@ class TestOneSrlgWalk:
         for _ in range(60):
             topology = random_connected_topology(rng, max_nodes=9, srlg_pool=4)
             src, dst = rng.sample(sorted(topology.nodes), 2)
-            options = {"usable_links": {link.id for link in topology.links
-                                        if rng.random() < 0.9},
+            usable = {link.id for link in topology.links if rng.random() < 0.9}
+            options = {"blocked_links": set(topology.link_by_id) - usable,
                        "srlg_budget": rng.choice((3, 20, 1000))}
-            ceiling = max_disjoint_count(topology, src, dst, LINK,
-                                         usable_links=options["usable_links"])
+            ceiling = max_disjoint_count(topology, src, dst, LINK, usable_links=usable)
             if not ceiling:
                 continue
             # Beyond the ceiling paths(k) walks on past where count() stops.
@@ -683,7 +685,7 @@ class TestOneSrlgWalk:
     def test_derived_admission_pops_as_one_count(self, ts1, pops):
         topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
         controller = Controller(topology, mode=SRLG)
-        usable = controller._usable_links(ts1.calendar_slots)
+        usable = set(topology.link_by_id) - controller._blocked_links(ts1.calendar_slots)
         assert controller.admit(ts1).state is AllocationState.ACTIVE
         admitted = len(pops)
         pops.clear()

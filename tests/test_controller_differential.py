@@ -5,10 +5,10 @@ Each seeded scenario plays through ``run_scenario``: a topology from
 ``random_graph_dict`` or a ring with chords, with a few slots per link, in
 link or node mode, under static or derived bounds, through arrivals,
 releases and link flaps. After every event, and after the reconfiguration
-a link failure starts, the controller's usable links for every slot count
-a request may ask for, and for 0, must equal the per-link
-``reference_usable_links``; a link failure must return, and mark stale,
-exactly the slices ``reference_stale_scan`` finds, in order. At the same
+a link failure starts, the controller's blocked links for every slot count
+a request may ask for, and for 0, must be the links that the per-link
+``reference_usable_links`` leaves out; a link failure must return, and mark
+stale, exactly the slices ``reference_stale_scan`` finds, in order. At the same
 points ``ledger_errors`` finds no problem, and a failed event or a rejected
 arrival has left the ledger item for item as it was; both ride in the case
 for 0 slots, so a broken ledger counts as a mismatch like any other.
@@ -110,11 +110,11 @@ class _Checked(Controller):
 
     def _check(self, phase: str, problems: list) -> None:
         for slots in range(MOST_SLOTS + 1):
-            usable = self._usable_links(slots)
-            reference = reference_usable_links(self.ledger, slots)
+            blocked = self._blocked_links(slots)
+            reference = set(self.topology.link_by_id) - reference_usable_links(self.ledger, slots)
             if slots == 0:
-                usable, reference = (usable, ledger_errors(self) + problems), (reference, [])
-            self.checks.append((self.label + (self.seq, phase, slots), usable, reference))
+                blocked, reference = (blocked, ledger_errors(self) + problems), (reference, [])
+            self.checks.append((self.label + (self.seq, phase, slots), blocked, reference))
 
     def apply_event(self, event):
         self.seq = event.seq

@@ -22,7 +22,7 @@ from __future__ import annotations
 from tnsc import DisjointSearch
 
 from .differential import case, checked, main
-from .oracles import ReferenceSearch, search_outcome, seeded_searches
+from .oracles import ReferenceSearch, blocked_by, search_outcome, seeded_searches
 
 SEED = 6006
 GROWING_SEED = 6007
@@ -40,7 +40,8 @@ def differential_cases(seed: int, graphs: int):
             expected.append(search_outcome(reference, len(expected) + 1))
         most = reference.count()
         for k, paths in enumerate(expected, start=1):
-            search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+            search = DisjointSearch(topology, src, dst, mode,
+                                    blocked_links=blocked_by(topology, usable))
             label = (number, len(topology.nodes), mode.value,
                      usable is None, src, dst, k)
             yield case(label, (search_outcome(search, k), search.count()), (paths, most))
@@ -52,7 +53,8 @@ def growing_cases(seed: int, graphs: int):
     paths or error detail."""
     for number, topology, src, dst, mode, usable in seeded_searches(seed, graphs):
         reference = ReferenceSearch(topology, src, dst, mode, usable)
-        search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+        search = DisjointSearch(topology, src, dst, mode,
+                                blocked_links=blocked_by(topology, usable))
         label = (number, len(topology.nodes), mode.value, usable is None, src, dst)
         k = 0
         outcome = expected = []

@@ -266,10 +266,10 @@ class TestPath:
 def fresh_view(topology, request, mode=DisjointnessMode.LINK_DISJOINT):
     """The network as built, as ``derive_bounds`` arguments after the
     request: an unrestricted search between the request's endpoints and a
-    fresh ledger's residual slots and ports."""
+    fresh ledger's least residual slots and its ports."""
     ledger = ResourceLedger.from_topology(topology)
     return (DisjointSearch(topology, request.src, request.dst, mode),
-            ledger.residual_slots, ledger.residual_ports)
+            ledger.least_residual(0), ledger.residual_ports)
 
 
 TWO_RATES = [{"type": "10GE", "gbps": 10, "count": 24},

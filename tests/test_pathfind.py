@@ -6,6 +6,7 @@ import random
 import weakref
 from pathlib import Path as FilePath
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from tnsc.errors import InsufficientDiversity, ValidationError
 from .conftest import make_topology
 from .oracles import (
     adjacency,
+    blocked_by,
     exists_k_disjoint,
     link_between,
     max_disjoint_brute,
@@ -99,9 +101,14 @@ class TestKDisjointPaths:
 
     def test_unknown_usable_links_raise(self, four_cycle):
         with pytest.raises(ValidationError) as caught:
-            DisjointSearch(four_cycle, "A", "C", LINK,
-                           usable_links={"L_ZZ", "L_AB", "L_XY"})
+            max_disjoint_count(four_cycle, "A", "C", LINK,
+                               usable_links={"L_ZZ", "L_AB", "L_XY"})
         assert caught.value.element == "usable_links"
+        assert caught.value.message == "unknown links ['L_XY', 'L_ZZ']"
+        with pytest.raises(ValidationError) as caught:
+            DisjointSearch(four_cycle, "A", "C", LINK,
+                           blocked_links={"L_ZZ", "L_AB", "L_XY"})
+        assert caught.value.element == "blocked_links"
         assert caught.value.message == "unknown links ['L_XY', 'L_ZZ']"
 
     def test_node_disjoint_stricter_than_link(self):
@@ -336,10 +343,11 @@ class TestDisjointSearch:
             src, dst = rng.sample(sorted(topology.nodes), 2)
             for mode in (LINK, NODE):
                 options = {"usable_links": usable}
+                blocked = blocked_by(topology, usable)
                 most = max_disjoint_count(topology, src, dst, mode, **options)
-                grown = DisjointSearch(topology, src, dst, mode, **options)
+                grown = DisjointSearch(topology, src, dst, mode, blocked_links=blocked)
                 for k in range(1, most + 2):
-                    search = DisjointSearch(topology, src, dst, mode, **options)
+                    search = DisjointSearch(topology, src, dst, mode, blocked_links=blocked)
                     try:
                         paths = search.paths(k)
                     except InsufficientDiversity as err:
@@ -352,6 +360,15 @@ class TestDisjointSearch:
                     assert search.count() == most
                 assert grown.count() == most
 
+    def test_count_stops_at_the_endpoint_cut(self, four_cycle):
+        """A and C each have two links, so once paths(2) has found two the
+        count needs no breadth-first search, not even a failing one."""
+        search = DisjointSearch(four_cycle, "A", "C", LINK)
+        search.paths(2)
+        with mock.patch.object(search, "_breadth_first", wraps=search._breadth_first) as bfs:
+            assert search.count() == 2
+        assert bfs.call_count == 0
+
     def test_paths_after_count_raises(self, theta):
         search = DisjointSearch(theta, "A", "C", NODE)
         assert search.count() == 3
@@ -361,10 +378,11 @@ class TestDisjointSearch:
     @pytest.mark.parametrize("mode", [LINK, NODE])
     def test_no_usable_links(self, four_cycle, mode):
         """Link mode masks every arc, node mode leaves internal arcs only."""
+        every = set(four_cycle.link_by_id)
         with pytest.raises(InsufficientDiversity) as caught:
-            DisjointSearch(four_cycle, "A", "C", mode, usable_links=set()).paths(1)
+            DisjointSearch(four_cycle, "A", "C", mode, blocked_links=every).paths(1)
         assert (caught.value.requested, caught.value.found) == (1, 0)
-        assert DisjointSearch(four_cycle, "A", "C", mode, usable_links=set()).count() == 0
+        assert DisjointSearch(four_cycle, "A", "C", mode, blocked_links=every).count() == 0
 
     def test_inconsistent_potentials_raise(self, theta):
         """A potential that makes a residual arc's reduced cost negative
@@ -396,14 +414,16 @@ class TestDisjointSearch:
             for i in steps:
                 src, dst, mode, usable, k = plans[i]
                 if i not in searches:
-                    searches[i] = DisjointSearch(shared, src, dst, mode, usable_links=usable)
+                    searches[i] = DisjointSearch(shared, src, dst, mode,
+                                                 blocked_links=blocked_by(shared, usable))
                     outcomes[i] = [_paths_or_found(searches[i], k)]
                 else:
                     outcomes[i].append(searches[i].count())
             for i, outcome in outcomes.items():
                 src, dst, mode, usable, k = plans[i]
-                alone = DisjointSearch(validate_topology(raw), src, dst, mode,
-                                       usable_links=usable)
+                fresh = validate_topology(raw)
+                alone = DisjointSearch(fresh, src, dst, mode,
+                                       blocked_links=blocked_by(fresh, usable))
                 expected = [_paths_or_found(alone, k)]
                 if len(outcome) == 2:
                     expected.append(alone.count())
@@ -548,7 +568,8 @@ class TestStartPotential:
 
     def test_start_is_minus_the_hop_distance(self):
         for topology, src, dst, mode, usable in self.start_cases():
-            search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+            search = DisjointSearch(topology, src, dst, mode,
+                                    blocked_links=blocked_by(topology, usable))
             names = sorted(topology.nodes)
             hops = hop_counts(topology, dst)
             width = 2 if mode is NODE else 1
@@ -558,7 +579,8 @@ class TestStartPotential:
 
     def test_start_reduced_costs_are_non_negative(self):
         for topology, src, dst, mode, usable in self.start_cases():
-            search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+            search = DisjointSearch(topology, src, dst, mode,
+                                    blocked_links=blocked_by(topology, usable))
             potential = search._potential
             for arc in filter(None, search._residual):
                 tail, head, cost, _ = arc

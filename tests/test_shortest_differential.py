@@ -19,7 +19,7 @@ from __future__ import annotations
 from tnsc import DisjointSearch, pathfind
 
 from .differential import case, checked, main
-from .oracles import reference_residual_shortest, seeded_searches
+from .oracles import blocked_by, reference_residual_shortest, seeded_searches
 
 SEED = 8008
 TIER1_GRAPHS = 150
@@ -44,7 +44,8 @@ def differential_cases(seed: int, graphs: int):
     """Yield a case for every residual network of every search, from no
     flow to the maximum; an outcome is a predecessor chain."""
     for number, topology, src, dst, mode, usable in seeded_searches(seed, graphs):
-        search = DisjointSearch(topology, src, dst, mode, usable_links=usable)
+        search = DisjointSearch(topology, src, dst, mode,
+                                blocked_links=blocked_by(topology, usable))
         residual, source, sink = search._residual, search._source, search._sink
         flow = 0
         while True:

@@ -35,7 +35,8 @@ from tnsc.pathfind import DEFAULT_SRLG_BUDGET
 from tnsc.scenario import scenario_from_dict
 
 from .differential import case, checked, main
-from .oracles import adjacency, random_graph_dict, reference_srlg_disjoint, search_outcome
+from .oracles import (adjacency, blocked_by, random_graph_dict, reference_srlg_disjoint,
+                      search_outcome)
 from .test_controller_differential import random_scenario
 
 SEED = 7007
@@ -50,12 +51,12 @@ class ReferenceSrlgSearch:
     search. The count asks for the link-mode maximum that
     ``max_disjoint_count`` gives, which the engine differential checks."""
 
-    def __init__(self, topology, src, dst, mode=SRLG, *, usable_links=None,
+    def __init__(self, topology, src, dst, mode=SRLG, *, blocked_links=(),
                  srlg_budget=DEFAULT_SRLG_BUDGET):
         assert mode is SRLG
         self.topology, self.src, self.dst = topology, src, dst
-        self.usable = frozenset(topology.link_by_id if usable_links is None
-                                else usable_links)
+        self.blocked = frozenset(blocked_links)
+        self.usable = frozenset(topology.link_by_id.keys() - self.blocked)
         self.budget = srlg_budget
         self.counted = False
 
@@ -123,7 +124,7 @@ def sequence_cases(seed: int, graphs: int):
         usable = rng.choice((None, {link.id for link in topology.links
                                     if rng.random() < 0.85}))
         budget = round(math.exp(rng.uniform(0, math.log(1000))))
-        options = {"usable_links": usable, "srlg_budget": budget}
+        options = {"blocked_links": blocked_by(topology, usable), "srlg_budget": budget}
         search = DisjointSearch(topology, src, dst, SRLG, **options)
         reference = ReferenceSrlgSearch(topology, src, dst, SRLG, **options)
         label = (number, len(topology.nodes), usable is None, budget, src, dst)

@@ -296,7 +296,7 @@ def test_every_export_has_a_user():
     assert unused == []
 
 
-LEDGER_MAPS = {"residual_slots", "residual_ports", "control_contexts"}
+LEDGER_MAPS = {"residual_slots", "residual_ports", "control_contexts", "links_by_slots"}
 MUTATORS = {"pop", "update", "setdefault", "clear", *set(dir(set)) - set(dir(frozenset))}
 
 
