@@ -81,8 +81,8 @@ class Event:
     link_id: str | None = None
 
     def __post_init__(self) -> None:
-        # A member passes unchanged; an unknown value raises ValueError.
-        object.__setattr__(self, "kind", EventKind(self.kind))
+        if type(self.kind) is not EventKind:  # an unknown value raises ValueError
+            object.__setattr__(self, "kind", EventKind(self.kind))
         if getattr(self, _PAYLOAD[self.kind]) is None:
             raise ValueError(f"event {self.seq} lacks the {self.kind.value} payload")
 

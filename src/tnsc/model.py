@@ -274,13 +274,8 @@ class AllocationRecord:
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, error: type[TnscError], *args) -> None:
-    if not condition:
-        raise error(*args)
-
-
 def _as_int(value, element: str, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValidationError(element, f"{what} must be an integer, got {value!r}")
     return value
 
@@ -330,15 +325,18 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
     """Validate a raw topology description and return the immutable model.
 
     Checks run in input order and the first violated invariant wins, so the
-    raised error always names one offending element.
+    raised error always names one offending element. An error is built only
+    when its check fails.
     """
     raw = _as_object(raw, "topology", "topology description")
     node_list = _as_list(raw.get("nodes"), "topology", "nodes")
-    _require(node_list, ValidationError, "topology", "nodes must not be empty")
+    if not node_list:
+        raise ValidationError("topology", "nodes must not be empty")
     nodes: set[str] = set()
     for node in node_list:
         node = _as_name(node, "topology", "node id")
-        _require(node not in nodes, DuplicateId, node)
+        if node in nodes:
+            raise DuplicateId(node)
         nodes.add(node)
 
     links: list[Link] = []
@@ -347,36 +345,42 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
     for entry in _as_list(raw.get("links", []), "topology", "links"):
         entry = _as_object(entry, "links", "link entry")
         link_id = _as_name(entry.get("id"), "links", "link id")
-        _require(link_id not in seen_link_ids, DuplicateId, link_id)
+        if link_id in seen_link_ids:
+            raise DuplicateId(link_id)
         a, b = entry.get("a"), entry.get("b")
         for endpoint in (a, b):
-            _require(isinstance(endpoint, str) and endpoint in nodes,
-                     DanglingEndpoint, str(endpoint))
-        _require(a != b, ValidationError, link_id, "link endpoints must differ")
+            if not (isinstance(endpoint, str) and endpoint in nodes):
+                raise DanglingEndpoint(str(endpoint))
+        if a == b:
+            raise ValidationError(link_id, "link endpoints must differ")
         pair = frozenset((a, b))
         # No parallel links: verify_disjoint matches each hop's link by its endpoints.
-        _require(pair not in seen_pairs, DuplicateId, link_id)
-        capacity = entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY)
-        capacity = _as_int(capacity, link_id, "slot_capacity")
-        _require(capacity >= 1, InvalidCapacity, link_id, "slot_capacity must be >= 1")
+        if pair in seen_pairs:
+            raise DuplicateId(link_id)
+        capacity = _as_int(entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY), link_id,
+                           "slot_capacity")
+        if capacity < 1:
+            raise InvalidCapacity(link_id, "slot_capacity must be >= 1")
         gbps = _as_positive(entry.get("slot_gbps", DEFAULT_SLOT_GBPS), InvalidCapacity,
                             link_id, "slot_gbps must be a finite number > 0")
         srlgs = _as_list(entry.get("srlgs", []), link_id, "srlgs")
         for tag in srlgs:
-            _require(_as_int(tag, link_id, "srlg tag") >= 0,
-                     ValidationError, link_id, f"srlg tags must be >= 0, got {tag!r}")
+            if _as_int(tag, link_id, "srlg tag") < 0:
+                raise ValidationError(link_id, f"srlg tags must be >= 0, got {tag!r}")
         seen_link_ids.add(link_id)
         seen_pairs.add(pair)
-        links.append(Link(id=link_id, a=a, b=b, srlgs=frozenset(srlgs),
-                          slot_capacity=capacity, slot_gbps=gbps))
+        # By position: keywords cost more per link, and the fields are in order.
+        links.append(Link(link_id, a, b, frozenset(srlgs), capacity, gbps))
 
     devices: list[DeviceProfile] = []
     seen_device_nodes: set[str] = set()
     for entry in _as_list(raw.get("devices", []), "topology", "devices"):
         entry = _as_object(entry, "devices", "device entry")
         node = entry.get("node")
-        _require(isinstance(node, str) and node in nodes, DanglingEndpoint, str(node))
-        _require(node not in seen_device_nodes, DuplicateId, node)
+        if not (isinstance(node, str) and node in nodes):
+            raise DanglingEndpoint(str(node))
+        if node in seen_device_nodes:
+            raise DuplicateId(node)
         groups: dict[str, PortSpec] = {}  # keyed as the snapshot names groups
         for port in _as_list(entry.get("ports", []), node, "ports"):
             port = _as_object(port, node, "port group")
@@ -385,16 +389,17 @@ def validate_topology(raw: Mapping) -> NetworkTopology:
             gbps = _as_positive(port.get("gbps"), InvalidCapacity, where,
                                 "port gbps must be a finite number > 0")
             count = _as_int(port.get("count"), where, "port count")
-            _require(count >= 1, InvalidCapacity, where, "port count must be >= 1")
-            group = PortSpec(port_type=port_type, gbps=gbps, count=count)
+            if count < 1:
+                raise InvalidCapacity(where, "port count must be >= 1")
+            group = PortSpec(port_type, gbps, count)
             label = group.label
-            _require(label not in groups, DuplicateId, f"{node}:{label}")
+            if label in groups:
+                raise DuplicateId(f"{node}:{label}")
             groups[label] = group
         seen_device_nodes.add(node)
-        devices.append(DeviceProfile(node=node, port_groups=tuple(groups.values())))
+        devices.append(DeviceProfile(node, tuple(groups.values())))
 
-    return NetworkTopology(nodes=frozenset(nodes), links=tuple(links),
-                           devices=tuple(devices))
+    return NetworkTopology(frozenset(nodes), tuple(links), tuple(devices))
 
 
 def request_from_dict(raw: Mapping) -> SliceRequest:

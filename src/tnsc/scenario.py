@@ -217,18 +217,18 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
             if request.id in arrivals:
                 raise ValidationError(request.id, "duplicate request id")
             arrivals.add(request.id)
-            events.append(Event(seq=seq, kind=kind, request=request))
+            events.append(Event(seq, kind, request))
         elif kind is EventKind.REQUEST_RELEASE:
             slice_id = _as_name(entry.get("slice"), f"event {seq}", "slice")
             if slice_id not in arrivals:
                 raise ValidationError(f"event {seq}",
                                       f"release of unknown slice {slice_id!r}")
-            events.append(Event(seq=seq, kind=kind, slice_id=slice_id))
+            events.append(Event(seq, kind, None, slice_id))
         else:
             link_id = _as_name(entry.get("link"), f"event {seq}", "link")
             if link_id not in topology.link_by_id:
                 raise ValidationError(f"event {seq}", f"unknown link {link_id!r}")
-            events.append(Event(seq=seq, kind=kind, link_id=link_id))
+            events.append(Event(seq, kind, None, None, link_id))
 
     return Scenario(topology=topology, bounds=bounds, mode=mode, policy=policy,
                     events=tuple(events))

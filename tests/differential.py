@@ -5,8 +5,9 @@ size)}``; ``cases(seed, size)`` yields cases, each (label, outcome,
 reference outcome, digested bytes). Tier-1 tests read outcomes through
 ``checked``. ``main`` plays the first stream, or the one ``--stream``
 names, at its seed and full size unless ``--seed`` or the size flag says
-otherwise; it prints each mismatch's label and both outcomes, then the
-counts and the sha256 of the digested bytes, and exits 1 on any
+otherwise; it prints the label and both outcomes of the first
+``SHOWN_MISMATCHES`` mismatches, then the counts of all cases and
+mismatches and the sha256 of the digested bytes, and exits 1 on any
 mismatch. No pytest is needed, so each documented command runs under
 other interpreters too:
 
@@ -19,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+
+#: Mismatches printed in full; a broken library can give thousands.
+SHOWN_MISMATCHES = 10
 
 
 def case(label, outcome, expected) -> tuple:
@@ -53,7 +57,8 @@ def main(streams: dict, size: str = "--graphs", argv=None) -> int:
         cases += 1
         if outcome != expected:
             mismatches += 1
-            print("mismatch", label, outcome, expected)
+            if mismatches <= SHOWN_MISMATCHES:
+                print("mismatch", label, outcome, expected)
         digest.update(digested)
     print(f"stream={name} seed={seed} size={size} cases={cases} "
           f"mismatches={mismatches} sha256={digest.hexdigest()}")

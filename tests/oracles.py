@@ -18,19 +18,28 @@ one range check per dimension replaced: ``reference_normalize_trait``,
 ``harmonic_index``) and ``reference_evaluate``. ``ReferencePortSpec``,
 ``ReferenceSliceRequest`` and ``reference_request_from_dict`` are the frozen
 dataclasses and the parser that the checked named tuples replaced; the
-parser shares the library's ``_as_*`` readers. ``reference_srlg_disjoint``
+parser shares the library's ``_as_*`` readers. So do
+``reference_validate_topology``, the topology reader that raised through a
+``_require`` helper and built links and devices by keyword, and
+``reference_scenario_from_dict``, the scenario reader whose event loop
+built each event by keyword and converted its kind twice. Both are kept
+unchanged, but for the scenario reader calling the reference topology
+reader. ``reference_srlg_disjoint``
 is the risk-group search that one resumable walk on ``tnsc.DisjointSearch``
 replaced: a backtracking search over name-keyed adjacency, started afresh
 with a fresh budget for every call. That name-keyed view (``adjacency``,
 ``link_between`` and ``path_through``) lives here, since the library walks
 only its compiled network. ``ledger_errors`` lists each broken ledger
 invariant, which the controller differential counts as mismatches and the
-unit and acceptance suites assert through ``assert_conserved``. Like the
-rest of this module it needs only the stdlib, so full runs need no pytest.
+unit and acceptance suites assert through ``assert_conserved``. ``mutate``
+breaks a JSON document at random places for the fuzz tests and the
+scenario ingestion differential. Like the rest of this module it needs only
+the stdlib, so full runs need no pytest.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -41,9 +50,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tnsc import AllocationState, DisjointnessMode, NetworkTopology, Path, validate_topology
-from tnsc.controller import Controller, ResourceLedger
+from tnsc.controller import (
+    Controller,
+    Event,
+    EventKind,
+    FailurePolicy,
+    ReconfigOrder,
+    ReconfigPolicy,
+    ResourceLedger,
+)
 from tnsc.errors import (
+    DanglingEndpoint,
+    DuplicateId,
     InsufficientDiversity,
+    InvalidCapacity,
     NonPositiveWeight,
     OutOfRange,
     TnscError,
@@ -58,22 +78,31 @@ from tnsc.feasibility import (
     normalize_falling,
 )
 from tnsc.model import (
+    DEFAULT_SLOT_CAPACITY,
+    DEFAULT_SLOT_GBPS,
     DIMENSION_FLOORS,
     DIMENSIONS,
     Bound,
     BoundsMode,
+    DeviceProfile,
+    Link,
+    PortSpec,
     SliceRequest,
     TraitBounds,
+    _as_choice,
     _as_int,
+    _as_list,
     _as_name,
     _as_object,
     _as_positive,
     _check_endpoint_ports,
+    bounds_from_dict,
     derive_bounds,
+    request_from_dict,
     weights_from_dict,
 )
-from tnsc.pathfind import DisjointSearch, verify_disjoint
-from tnsc.scenario import _index_fields
+from tnsc.pathfind import DisjointnessMode, DisjointSearch, verify_disjoint
+from tnsc.scenario import Scenario, _index_fields
 
 
 Adjacency = Mapping[str, Sequence[tuple[str, str]]]
@@ -690,6 +719,134 @@ def reference_request_from_dict(raw: Mapping) -> ReferenceSliceRequest:
     )
 
 
+def _require(condition: bool, error: type[TnscError], *args) -> None:
+    if not condition:
+        raise error(*args)
+
+
+def reference_validate_topology(raw: Mapping) -> NetworkTopology:
+    """Validate a raw topology description and return the immutable model.
+
+    Checks run in input order and the first violated invariant wins, so the
+    raised error always names one offending element.
+    """
+    raw = _as_object(raw, "topology", "topology description")
+    node_list = _as_list(raw.get("nodes"), "topology", "nodes")
+    _require(node_list, ValidationError, "topology", "nodes must not be empty")
+    nodes: set[str] = set()
+    for node in node_list:
+        node = _as_name(node, "topology", "node id")
+        _require(node not in nodes, DuplicateId, node)
+        nodes.add(node)
+
+    links: list[Link] = []
+    seen_link_ids: set[str] = set()
+    seen_pairs: set[frozenset[str]] = set()
+    for entry in _as_list(raw.get("links", []), "topology", "links"):
+        entry = _as_object(entry, "links", "link entry")
+        link_id = _as_name(entry.get("id"), "links", "link id")
+        _require(link_id not in seen_link_ids, DuplicateId, link_id)
+        a, b = entry.get("a"), entry.get("b")
+        for endpoint in (a, b):
+            _require(isinstance(endpoint, str) and endpoint in nodes,
+                     DanglingEndpoint, str(endpoint))
+        _require(a != b, ValidationError, link_id, "link endpoints must differ")
+        pair = frozenset((a, b))
+        # No parallel links: verify_disjoint matches each hop's link by its endpoints.
+        _require(pair not in seen_pairs, DuplicateId, link_id)
+        capacity = entry.get("slot_capacity", DEFAULT_SLOT_CAPACITY)
+        capacity = _as_int(capacity, link_id, "slot_capacity")
+        _require(capacity >= 1, InvalidCapacity, link_id, "slot_capacity must be >= 1")
+        gbps = _as_positive(entry.get("slot_gbps", DEFAULT_SLOT_GBPS), InvalidCapacity,
+                            link_id, "slot_gbps must be a finite number > 0")
+        srlgs = _as_list(entry.get("srlgs", []), link_id, "srlgs")
+        for tag in srlgs:
+            _require(_as_int(tag, link_id, "srlg tag") >= 0,
+                     ValidationError, link_id, f"srlg tags must be >= 0, got {tag!r}")
+        seen_link_ids.add(link_id)
+        seen_pairs.add(pair)
+        links.append(Link(id=link_id, a=a, b=b, srlgs=frozenset(srlgs),
+                          slot_capacity=capacity, slot_gbps=gbps))
+
+    devices: list[DeviceProfile] = []
+    seen_device_nodes: set[str] = set()
+    for entry in _as_list(raw.get("devices", []), "topology", "devices"):
+        entry = _as_object(entry, "devices", "device entry")
+        node = entry.get("node")
+        _require(isinstance(node, str) and node in nodes, DanglingEndpoint, str(node))
+        _require(node not in seen_device_nodes, DuplicateId, node)
+        groups: dict[str, PortSpec] = {}  # keyed as the snapshot names groups
+        for port in _as_list(entry.get("ports", []), node, "ports"):
+            port = _as_object(port, node, "port group")
+            port_type = _as_name(port.get("type"), node, "port type")
+            where = f"{node}:{port_type}"
+            gbps = _as_positive(port.get("gbps"), InvalidCapacity, where,
+                                "port gbps must be a finite number > 0")
+            count = _as_int(port.get("count"), where, "port count")
+            _require(count >= 1, InvalidCapacity, where, "port count must be >= 1")
+            group = PortSpec(port_type=port_type, gbps=gbps, count=count)
+            label = group.label
+            _require(label not in groups, DuplicateId, f"{node}:{label}")
+            groups[label] = group
+        seen_device_nodes.add(node)
+        devices.append(DeviceProfile(node=node, port_groups=tuple(groups.values())))
+
+    return NetworkTopology(nodes=frozenset(nodes), links=tuple(links),
+                           devices=tuple(devices))
+
+
+def reference_scenario_from_dict(raw: Mapping) -> Scenario:
+    raw = _as_object(raw, "scenario", "scenario")
+    if "topology" not in raw:
+        raise ValidationError("scenario", "missing topology")
+    topology = reference_validate_topology(raw["topology"])
+    bounds = bounds_from_dict(raw.get("bounds", {"mode": "derived"}))
+
+    mode = _as_choice(DisjointnessMode, raw.get("mode", "link_disjoint"), "mode",
+                      "disjointness mode")
+
+    policy_raw = _as_object(raw.get("policy", {}), "policy", "policy")
+    order = policy_raw.get("order", "descending_index")
+    on_failure = policy_raw.get("on_failure", "mark_degraded")
+    policy = ReconfigPolicy(_as_choice(ReconfigOrder, order, "policy", "order"),
+                            _as_choice(FailurePolicy, on_failure, "policy", "on_failure"))
+
+    events: list[Event] = []
+    last_seq: int | None = None
+    arrivals: set[str] = set()
+    for entry in _as_list(raw.get("events", []), "scenario", "events"):
+        entry = _as_object(entry, "events", "event")
+        seq = _as_int(entry.get("seq"), "events", "seq")
+        if last_seq is not None and seq <= last_seq:
+            raise ValidationError(f"event {seq}", "seq values must strictly increase")
+        last_seq = seq
+        kind = _as_choice(EventKind, entry.get("type"), f"event {seq}", "type")
+        if kind is EventKind.REQUEST_ARRIVAL:
+            request = request_from_dict(entry.get("request"))
+            for endpoint in (request.src, request.dst):
+                if endpoint not in topology.nodes:
+                    raise ValidationError(request.id,
+                                          f"unknown endpoint {endpoint!r}")
+            if request.id in arrivals:
+                raise ValidationError(request.id, "duplicate request id")
+            arrivals.add(request.id)
+            events.append(Event(seq=seq, kind=kind, request=request))
+        elif kind is EventKind.REQUEST_RELEASE:
+            slice_id = _as_name(entry.get("slice"), f"event {seq}", "slice")
+            if slice_id not in arrivals:
+                raise ValidationError(f"event {seq}",
+                                      f"release of unknown slice {slice_id!r}")
+            events.append(Event(seq=seq, kind=kind, slice_id=slice_id))
+        else:
+            link_id = _as_name(entry.get("link"), f"event {seq}", "link")
+            if link_id not in topology.link_by_id:
+                raise ValidationError(f"event {seq}", f"unknown link {link_id!r}")
+            events.append(Event(seq=seq, kind=kind, link_id=link_id))
+
+    return Scenario(topology=topology, bounds=bounds, mode=mode, policy=policy,
+                    events=tuple(events))
+
+
 def reference_evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                        weights: Mapping[str, float] | None = None,
                        topology: NetworkTopology | None = None,
@@ -790,6 +947,45 @@ def reference_canonical_json(value) -> str:
     _write_canonical(value, out)
     out.append("\n")
     return "".join(out)
+
+
+#: What ``mutate`` puts in place of a value.
+REPLACEMENTS = ([], {}, "x", "", True, None, 0, -1, 1.5, float("nan"),
+                float("inf"), float("-inf"), 10**400, 2**63, -10**30)
+
+
+def _locations(value, prefix=()):
+    """Path of every value inside a JSON document, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _locations(item, prefix + (key,))
+
+
+def mutate(rng: random.Random, payload):
+    """A copy of ``payload`` after one to three seeded mutations: a value
+    anywhere, the root included, is deleted or replaced by one of
+    ``REPLACEMENTS``."""
+    payload = copy.deepcopy(payload)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_locations(payload)))
+        value = copy.deepcopy(rng.choice(REPLACEMENTS))
+        if not path:
+            payload = value
+            continue
+        holder = payload
+        for key in path[:-1]:
+            holder = holder[key]
+        if rng.random() < 0.3:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return payload
 
 
 def random_connected_dict(rng, max_nodes=8, srlg_pool=0):

@@ -29,7 +29,7 @@ from unittest import mock
 from tnsc import AllocationState, Controller, EventKind, report_to_json, run_scenario, scenario
 from tnsc.scenario import scenario_from_dict
 
-from .differential import checked, main
+from .differential import SHOWN_MISMATCHES, checked, main
 from .oracles import (ledger_errors, random_graph_dict, reference_stale_scan,
                       reference_usable_links)
 
@@ -179,19 +179,20 @@ def test_controller_matches_reference():
 
 def test_stream_reports_a_broken_controller(capsys):
     """A controller that never credits ports back breaks conservation at the
-    first release; the stream counts that as mismatches and still prints
-    its result line."""
+    first release; the stream counts every mismatch, prints only the first
+    ones in full, and still prints its result line."""
     book = Controller._book
 
     def no_port_credit(self, record, sign):
         book(self, replace(record, ports_per_device={}) if sign > 0 else record, sign)
 
     with mock.patch.object(Controller, "_book", no_port_credit):
-        assert main(STREAMS, argv=["--graphs", "1"]) == 1
+        assert main(STREAMS, argv=["--graphs", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == SHOWN_MISMATCHES + 1
     assert lines[0].startswith("mismatch ") and "residual ports" in lines[0]
-    assert lines[-1].startswith("stream=scenarios seed=9009 size=1 ")
-    assert "mismatches=0" not in lines[-1].split()
+    assert lines[-1].startswith("stream=scenarios seed=9009 size=3 ")
+    assert "mismatches=188" in lines[-1].split()
 
 
 if __name__ == "__main__":

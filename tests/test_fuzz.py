@@ -9,7 +9,6 @@ reason: the CLI exits 0 or 1, never 2, and a scenario either fails in
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 
@@ -18,46 +17,13 @@ from tnsc.cli import main
 from tnsc.errors import TnscError
 from tnsc.scenario import report_to_json, run_scenario, scenario_from_dict
 
+from .oracles import mutate
 from .test_cli import BOUNDS, REQUESTS, SCENARIO, TOPOLOGY
 
 REASONS = {name for name, value in vars(tnsc.errors).items()
            if isinstance(value, type) and issubclass(value, TnscError)}
 
-REPLACEMENTS = ([], {}, "x", "", True, None, 0, -1, 1.5, float("nan"),
-                float("inf"), float("-inf"), 10**400, 2**63, -10**30)
-
 MODES = ("link-disjoint", "node-disjoint", "srlg-disjoint")
-
-
-def _locations(value, prefix=()):
-    """Path of every value inside a JSON document, the root included."""
-    yield prefix
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, item in items:
-        yield from _locations(item, prefix + (key,))
-
-
-def mutate(rng: random.Random, payload):
-    payload = copy.deepcopy(payload)
-    for _ in range(rng.randint(1, 3)):
-        path = rng.choice(list(_locations(payload)))
-        value = copy.deepcopy(rng.choice(REPLACEMENTS))
-        if not path:
-            payload = value
-            continue
-        holder = payload
-        for key in path[:-1]:
-            holder = holder[key]
-        if rng.random() < 0.3:
-            del holder[path[-1]]
-        else:
-            holder[path[-1]] = value
-    return payload
 
 
 def test_mutated_scenarios_fail_in_parse_or_run_to_the_end():
