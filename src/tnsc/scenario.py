@@ -63,24 +63,63 @@ _PLAIN = ((int, int), (float, float), (str, str.__str__), (Mapping, dict),
           ((list, tuple), list))
 
 
-def _write_canonical(value, out: list[str], layouts: dict) -> None:
+def _write_canonical(value, out: list[str], layouts: dict) -> list[str]:
+    """Append ``value``'s text to ``out`` and return ``out``. A member goes
+    in as one string with its prefix: a str, float, int or None at once, a
+    dict joined from a list of its own. Other members recurse into ``out``."""
     kind = type(value)
-    if kind is str:
+    if kind is dict:
+        keys = tuple(value)
+        layout = layouts.get(keys)
+        if layout is None:
+            # Sorted, checked and escaped once per key set: (key, '{"key":'),
+            # then (key, ',"key":').
+            layout = sorted(keys)
+            for key in layout:
+                if not isinstance(key, str):
+                    raise TypeError(f"object keys must be strings, got {key!r}")
+            layout = layouts[keys] = tuple((key, f"{',' if i else '{'}{_escape(key)}:")
+                                           for i, key in enumerate(layout))
+        for key, prefix in layout:
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(prefix + _escape(item))
+            elif kind is float:
+                out.append(prefix + _format_float(item))
+            elif kind is int or item is None:
+                out.append(prefix + ("null" if item is None else str(item)))
+            elif kind is dict:
+                out.append("".join(_write_canonical(item, [prefix], layouts)))
+            else:
+                out.append(prefix)
+                _write_canonical(item, out, layouts)
+        out.append("}" if layout else "{}")
+    elif kind is list or kind is tuple:
+        prefix = "["
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(prefix + _escape(item))
+            elif kind is float:
+                out.append(prefix + _format_float(item))
+            elif kind is int or item is None:
+                out.append(prefix + ("null" if item is None else str(item)))
+            elif kind is dict:
+                out.append("".join(_write_canonical(item, [prefix], layouts)))
+            else:
+                out.append(prefix)
+                _write_canonical(item, out, layouts)
+            prefix = ","
+        out.append("]" if value else "[]")
+    elif kind is str:
         out.append(_escape(value))
     elif kind is float:
         out.append(_format_float(value))
-    elif kind is dict:
-        _write_object(value, out, layouts)
-    elif kind is list or kind is tuple:
-        _write_array(value, out, layouts)
     elif kind is int:
         out.append(str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
     else:
         # Subclasses (str and int enums) and other mappings write as the
         # plain value; str.__str__, unlike str(), gives a str enum's value.
@@ -88,40 +127,15 @@ def _write_canonical(value, out: list[str], layouts: dict) -> None:
             if isinstance(value, base):
                 return _write_canonical(plain(value), out, layouts)
         raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _write_object(value: dict, out: list[str], layouts: dict) -> None:
-    keys = tuple(value)
-    layout = layouts.get(keys)
-    if layout is None:
-        # Sorted, checked and escaped once per key set: (key, ',"key":').
-        layout = sorted(keys)
-        for key in layout:
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-        layout = layouts[keys] = tuple((key, f"{',' if i else ''}{_escape(key)}:")
-                                       for i, key in enumerate(layout))
-    out.append("{")
-    for key, prefix in layout:
-        out.append(prefix)
-        _write_canonical(value[key], out, layouts)
-    out.append("}")
-
-
-def _write_array(value: Sequence, out: list[str], layouts: dict) -> None:
-    out.append("[")
-    for i, item in enumerate(value):
-        if i:
-            out.append(",")
-        _write_canonical(item, out, layouts)
-    out.append("]")
+    return out
 
 
 def canonical_json(value) -> str:
     """Deterministic JSON text (sorted keys, 17-significant-digit floats).
-    Each key set (keys in insertion order) is sorted once per call."""
-    out: list[str] = []
-    _write_canonical(value, out, {})
+    Each key set (keys in insertion order) is sorted once per call. Only
+    finished objects and the fragments of one nesting chain are alive at a
+    time, so a call peaks below three times its text in memory."""
+    out = _write_canonical(value, [], {})
     out.append("\n")
     return "".join(out)
 

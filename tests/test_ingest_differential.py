@@ -151,10 +151,13 @@ def mutate(raw: dict, faults) -> object:
     """``raw`` with each ``(field, value)`` applied in turn. A field is a
     path of object keys and list indices; MISSING removes what it names,
     and a field under anything but an object or a long enough list is left
-    as it is. Values go in uncopied, so no later fault of a row may reach
-    inside a container an earlier one put in."""
+    as it is. Each dict or list value goes in as a copy, so a later fault
+    of the row that reaches inside it leaves the pools and other rows as
+    they are; a ``MappingProxyType`` is read-only and goes in shared."""
     raw = copy.deepcopy(raw)
     for field, value in faults:
+        if isinstance(value, (dict, list)):
+            value = copy.deepcopy(value)
         if not field:
             if value is not MISSING:
                 raw = value
@@ -262,8 +265,8 @@ def topology_faults(raw: dict, node: int, link: int, device: int) -> tuple:
     """One fault for each check the topology reader makes, in its order, on
     node ``node``, link ``link`` (whose first risk-group tag is broken),
     device ``device`` and its first port group. No fault but the last puts
-    in a container that a later fault's field can reach into, so no pair
-    writes into a value that other rows share."""
+    in a container that a later fault's field can reach into, so each fault
+    of a pair breaks what it breaks alone."""
     at_link, at_device = ("links", link), ("devices", device)
     group = at_device + ("ports", 0)
     first_link, port = raw["links"][0], raw["devices"][device]["ports"][0]
@@ -392,7 +395,9 @@ STREAMS = {"rows": (differential_rows, SEED, 964000),
 
 
 def test_ingestion_matches_reference():
+    pools = repr((POOL, WEIGHT_POOL))
     outcomes = [library for _number, library in checked(differential_rows(SEED, TIER1_CASES))]
+    assert repr((POOL, WEIGHT_POOL)) == pools, "a row wrote into a shared pool value"
     reasons = {library[2] for library in outcomes if library[0] == "error"}
     parsed_types = {name for library in outcomes if library[0] == "parsed"
                     for name, _value in library[1:]}

@@ -11,21 +11,26 @@ an infinity, a ``set`` or ``bytes``. Both writers must give the same text,
 or raise the same exception type. The edge cases add one key set in two
 insertion orders and at several depths, and an int key written after an
 equal str key set, since the writer lays out each key set once per call.
-The goldens' reports and tables go through both writers as well, and
-writing a report must leave no garbage cycle.
+The goldens' reports and tables go through both writers as well, writing
+a report must leave no garbage cycle, and a call may peak at no more than
+three times its text in memory.
+
+Tier-1 runs the first values; the full run hashes every outcome:
+
+    PYTHONPATH=src python -m tests.test_writer_differential --cases 300000
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
+import tracemalloc
 from collections import OrderedDict
 from enum import Enum, IntEnum
 from pathlib import Path
 from types import MappingProxyType
-
-import pytest
 
 from tnsc.model import (
     bounds_from_dict,
@@ -42,11 +47,14 @@ from tnsc.scenario import (
     run_scenario,
 )
 
+from .differential import case, checked, main
 from .oracles import reference_canonical_json
 
 DATA = Path(__file__).parent / "data"
 SEED = 8008
-CASES = 3000
+TIER1_CASES = 3000
+#: The most memory one call may hold at its peak, per character of its text.
+PEAK_PER_CHAR = 3
 
 
 class Level(IntEnum):
@@ -124,18 +132,27 @@ def _outcome(write, value):
         return type(err).__name__
 
 
+def differential_cases(seed: int, count: int):
+    """Yield a case for each of ``count`` seeded values, every other one
+    free of errors; an outcome is the text or the exception's type name."""
+    rng = random.Random(seed)
+    for number in range(count):
+        value = random_value(rng, bad=0.0 if number % 2 else 0.03)
+        yield case(number, _outcome(canonical_json, value),
+                   _outcome(reference_canonical_json, value))
+
+
+STREAMS = {"values": (differential_cases, SEED, 300_000)}
+
+
 def test_writer_matches_reference_on_fuzzed_values():
-    rng = random.Random(SEED)
     outcomes = {"text": 0, "TypeError": 0, "ValueError": 0}
-    for case in range(CASES):
-        value = random_value(rng, bad=0.0 if case % 2 else 0.03)
-        outcome = _outcome(canonical_json, value)
-        assert outcome == _outcome(reference_canonical_json, value), case
+    for _number, outcome in checked(differential_cases(SEED, TIER1_CASES)):
         outcomes["text" if outcome.endswith("\n") else outcome] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
 
-@pytest.mark.parametrize("value, outcome", [
+EDGE_CASES = [
     ({}, "{}\n"),
     ([], "[]\n"),
     ((), "[]\n"),
@@ -158,7 +175,19 @@ def test_writer_matches_reference_on_fuzzed_values():
     # Int and str-enum keys after a str key set equal to theirs was written.
     ([{"1": 0}, {"a": 1}, {1: "a"}], "TypeError"),
     ([{"red": 0}, {Colour.RED: 1}], '[{"red":0},{"red":1}]\n'),
-])
+]
+GOLDEN_REPORTS = ["five_node_failure", "grid_link_disjoint", "grid_node_disjoint"]
+
+
+def pytest_generate_tests(metafunc):
+    """Parametrize the tests below without importing pytest, so the full
+    run needs only the standard library."""
+    if metafunc.function is test_writer_edge_cases:
+        metafunc.parametrize("value, outcome", EDGE_CASES)
+    elif metafunc.function is test_golden_reports_through_both_writers:
+        metafunc.parametrize("name", GOLDEN_REPORTS)
+
+
 def test_writer_edge_cases(value, outcome):
     assert _outcome(canonical_json, value) == outcome
     assert _outcome(reference_canonical_json, value) == outcome
@@ -167,7 +196,7 @@ def test_writer_edge_cases(value, outcome):
 def test_writer_leaves_no_garbage_cycle():
     """The key layouts live in one call's locals: writing a report leaves
     nothing for the cyclic collector."""
-    report = report_to_dict(run_scenario(load_scenario(str(DATA / "grid_node_disjoint.json"))))
+    report = _golden_report("grid_node_disjoint")
     gc.collect()
     gc.disable()
     try:
@@ -177,10 +206,12 @@ def test_writer_leaves_no_garbage_cycle():
         gc.enable()
 
 
-@pytest.mark.parametrize("name", ["five_node_failure", "grid_link_disjoint",
-                                  "grid_node_disjoint"])
+def _golden_report(name: str) -> dict:
+    return report_to_dict(run_scenario(load_scenario(str(DATA / f"{name}.json"))))
+
+
 def test_golden_reports_through_both_writers(name):
-    report = report_to_dict(run_scenario(load_scenario(str(DATA / f"{name}.json"))))
+    report = _golden_report(name)
     golden = (DATA / f"{name}.report.json").read_text()
     assert canonical_json(report) == reference_canonical_json(report) == golden
 
@@ -201,3 +232,40 @@ def test_golden_tables_through_both_writers():
         for command, ordered in (("evaluate", rows), ("rank", rank_rows(rows))):
             golden = goldens[f"{command}-{bounds}-json"]
             assert canonical_json(ordered) == reference_canonical_json(ordered) == golden
+
+
+def _peak_per_char(value) -> float:
+    """The most memory one ``canonical_json`` call holds, traced, per
+    character of the text it returns; a trace already running goes on."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = canonical_json(value)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / len(text)
+
+
+def test_writer_peak_memory_stays_proportional_to_its_text():
+    """Two golden reports and a 200-row table: a writer that kept every
+    fragment until one final join peaked at 5.4 to 5.6 times its text."""
+    table = json.loads((DATA / "table_inputs.json").read_text())
+    raws = itertools.islice(itertools.cycle(table["requests"]), 200)
+    rows = evaluate([request_from_dict({**raw, "id": f"r{number:03d}"})
+                     for number, raw in enumerate(raws)],
+                    bounds_from_dict(table["bounds"]),
+                    weights=weights_from_dict(table["weights"], "weights"))
+    values = {"grid_link_disjoint": _golden_report("grid_link_disjoint"),
+              "grid_node_disjoint": _golden_report("grid_node_disjoint"),
+              "table": rows}
+    peaks = {name: _peak_per_char(value) for name, value in values.items()}
+    assert max(peaks.values()) <= PEAK_PER_CHAR, peaks
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(STREAMS, "--cases"))
