@@ -140,7 +140,7 @@ def assess(request: SliceRequest, bounds: TraitBounds,
     errors = []
     for dim in DIMENSIONS:
         r = request.trait(dim)
-        bound = bounds.bound(dim)
+        bound = getattr(bounds, dim)
         l, h = bound.l, bound.h
         if h is None:
             raise ValidationError("bounds", f"bounds for {dim!r} are unresolved "

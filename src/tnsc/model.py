@@ -183,7 +183,7 @@ class TraitBounds:
         # A member passes unchanged; an unknown value raises ValueError.
         object.__setattr__(self, "mode", BoundsMode(self.mode))
         for dim in DIMENSIONS:
-            bound = self.bound(dim)
+            bound = getattr(self, dim)
             floor = DIMENSION_FLOORS[dim]
             if bound.l < floor:
                 raise ValidationError(dim, f"lower bound must be at least {floor}")
@@ -192,15 +192,6 @@ class TraitBounds:
                     raise ValidationError(dim, "static bounds require h")
                 if bound.l > bound.h:
                     raise ValidationError(dim, "lower bound exceeds upper bound")
-
-    def bound(self, dimension: str) -> Bound:
-        if dimension == "topology":
-            return self.topology
-        if dimension == "device":
-            return self.device
-        if dimension == "data_plane":
-            return self.data_plane
-        raise KeyError(dimension)
 
 
 #: Derived-mode configuration placeholder: floors only, h resolved per request.
@@ -482,12 +473,13 @@ def _check_endpoint_ports(topology: NetworkTopology, request: SliceRequest) -> N
 def derive_bounds(request: SliceRequest, search: DisjointSearch, least_slots: int,
                   residual_ports: Mapping[tuple[str, str, float], int]) -> TraitBounds:
     """Resolve per-request trait ranges against the network ``search`` sees:
-    it fixes the topology, the disjointness mode and the usable links.
+    it fixes the topology, the mode, the links it does not block and the
+    SRLG budget (1000 heap pops by default).
 
     Upper bounds: the diversity ``search.count()`` finds, which resumes its
     flow and ends its ``paths()``; the smaller residual inventory of the
-    matching port group at the two endpoints; and ``least_slots``, the
-    smallest residual slot pool among the search's usable links (0 if none).
+    matching port group at the two endpoints; and ``least_slots``, the least
+    residual slot pool of the links the search does not block (0 if none).
     The controller passes the admission's search and its live ledger's
     ``least_residual``; an unrestricted search with a fresh ledger's
     ``least_residual(0)`` and ports gives the ranges of the topology as built.

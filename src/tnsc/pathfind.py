@@ -39,14 +39,6 @@ class DisjointnessMode(str, Enum):
     SRLG_DISJOINT = "srlg_disjoint"
 
 
-def _check_endpoints(topology: NetworkTopology, src: str, dst: str) -> None:
-    for role, node in (("src", src), ("dst", dst)):
-        if node not in topology.nodes:
-            raise ValidationError(role, f"unknown node {node!r}")
-    if src == dst:
-        raise ValidationError("dst", "src and dst must differ")
-
-
 class _Network:
     """A topology's residual network with every link usable, shared by all
     its searches in one mode. Node i of the sorted ids is index i; splitting
@@ -159,8 +151,8 @@ def _residual_shortest(residual: list[tuple[int, int, int, int] | None],
 
 
 class DisjointSearch:
-    """One disjoint-path search between two endpoints: ``paths(k)`` gives
-    the k-set and ``count()`` the maximum diversity.
+    """One disjoint-path search between two endpoints over the links it does
+    not block: ``paths(k)`` gives the k-set and ``count()`` the diversity.
 
     Each search masks a copy of its topology's residual network, unsplit in
     SRLG mode. In link and node modes ``paths(k)`` augments along k shortest
@@ -174,8 +166,8 @@ class DisjointSearch:
     order. The flow is no longer min-cost after ``count()``, so ``paths()``
     refuses to run after it. In SRLG mode ``count()`` takes the link-mode
     ceiling from flow 0, and both calls resume one depth-first walk of at
-    most ``srlg_budget`` heap pops, whose first set of each size wins.
-    Set-up costs what ``blocked`` masks; ``usable`` is built when asked for.
+    most ``srlg_budget`` heap pops (1000 by default), whose first set of
+    each size wins. Set-up costs what ``blocked_links`` masks.
     """
 
     def __init__(self, topology: NetworkTopology, src: str, dst: str,
@@ -183,7 +175,11 @@ class DisjointSearch:
                  *,
                  blocked_links: Iterable[str] = (),
                  srlg_budget: int = DEFAULT_SRLG_BUDGET):
-        _check_endpoints(topology, src, dst)
+        for role, node in (("src", src), ("dst", dst)):
+            if node not in topology.nodes:
+                raise ValidationError(role, f"unknown node {node!r}")
+        if src == dst:
+            raise ValidationError("dst", "src and dst must differ")
         self.topology = topology
         self.src = src
         self.dst = dst
@@ -226,11 +222,6 @@ class DisjointSearch:
         self._sink = network.width * dst
         # No flow exceeds the usable links at src or at dst (dst's egress arcs).
         self._cut = min(len(outgoing[self._source]), len(outgoing[self._sink + network.width - 1]))
-
-    @cached_property
-    def usable(self) -> frozenset[str]:
-        """Every link the search does not mask."""
-        return frozenset(self.topology.link_by_id.keys() - self.blocked)
 
     def _augment_to(self, k: float, find_path: Callable[[], list | None]) -> int:
         """Augment along the paths ``find_path`` traces, as predecessor arcs
@@ -335,8 +326,10 @@ class DisjointSearch:
     @cached_property
     def _walk(self) -> Iterator[list[Path]]:
         """The SRLG walk, started on first use; ``_spent`` counts its heap
-        pops and ``_sets[n]`` is the first set of n paths it met."""
+        pops, ``_sets[n]`` is the first set of n paths it met and ``_usable``
+        holds the links the search does not block."""
         self._spent, self._sets = 0, []
+        self._usable = self.topology.link_by_id.keys() - self.blocked
         return self._extend([], frozenset(), frozenset())
 
     def _walk_to(self, k: int) -> int:
@@ -352,7 +345,7 @@ class DisjointSearch:
         """Yield ``chosen``, then in preorder each set it extends to by a path
         over usable links that share no link or risk group with it."""
         yield chosen
-        allowed = {link for link in self.usable - used_links
+        allowed = {link for link in self._usable - used_links
                    if not self.topology.link_by_id[link].srlgs & used_srlgs}
         for path in self._simple_paths(allowed):
             yield from self._extend(chosen + [path], used_links | set(path.links),
@@ -379,46 +372,31 @@ class DisjointSearch:
                     heapq.heappush(heap, (hops + 1, nodes + (head,), path_links + (links[e],)))
 
 
-def _usable_search(topology: NetworkTopology, src: str, dst: str, mode: DisjointnessMode,
-                   usable_links: Iterable[str] | None, srlg_budget: int) -> DisjointSearch:
-    """A search blocking the links outside ``usable_links`` (none if None)."""
-    _check_endpoints(topology, src, dst)  # endpoint errors first, as in the search
-    usable = topology.link_by_id.keys() if usable_links is None else set(usable_links)
-    if unknown := usable - topology.link_by_id.keys():
-        raise ValidationError("usable_links", f"unknown links {sorted(unknown)}")
-    return DisjointSearch(topology, src, dst, mode, srlg_budget=srlg_budget,
-                          blocked_links=topology.link_by_id.keys() - usable)
-
-
 def k_disjoint_paths(topology: NetworkTopology, src: str, dst: str, k: int,
-                     mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
-                     *,
-                     usable_links: frozenset[str] | set[str] | None = None,
-                     srlg_budget: int = DEFAULT_SRLG_BUDGET) -> list[Path]:
-    """Compute k pairwise-disjoint simple paths between src and dst.
+                     mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT) -> list[Path]:
+    """k pairwise-disjoint simple paths between src and dst over every link:
+    a fresh ``DisjointSearch``'s ``paths(k)``.
 
     Link and node modes minimize the total hop count over all valid sets
     and report the true maximum diversity on failure. SRLG mode is a
-    depth-first walk of at most ``srlg_budget`` heap pops: InsufficientDiversity
-    with ``budget_exhausted`` set means the walk gave up, not that no set
-    exists. The returned list is sorted by (hop count, node sequence) and is
-    deterministic for identical inputs.
+    depth-first walk of at most 1000 heap pops (``DEFAULT_SRLG_BUDGET``):
+    InsufficientDiversity with ``budget_exhausted`` set means the walk gave
+    up, not that no set exists. The returned list is sorted by (hop count,
+    node sequence) and is deterministic for identical inputs.
     """
-    return _usable_search(topology, src, dst, mode, usable_links, srlg_budget).paths(k)
+    return DisjointSearch(topology, src, dst, mode).paths(k)
 
 
 def max_disjoint_count(topology: NetworkTopology, src: str, dst: str,
-                       mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT,
-                       *,
-                       usable_links: frozenset[str] | set[str] | None = None,
-                       srlg_budget: int = DEFAULT_SRLG_BUDGET) -> int:
-    """Largest k for which k disjoint paths exist (0 when unreachable).
+                       mode: DisjointnessMode = DisjointnessMode.LINK_DISJOINT) -> int:
+    """Largest k for which k disjoint paths over every link exist (0 when
+    unreachable): a fresh ``DisjointSearch``'s ``count()``.
 
     Link and node modes are exact via max flow with unit capacities; SRLG
     mode walks on until it meets a set as large as the link-mode count, and
-    is conservative when its ``srlg_budget`` heap pops run out.
+    is conservative when its 1000 heap pops (``DEFAULT_SRLG_BUDGET``) run out.
     """
-    return _usable_search(topology, src, dst, mode, usable_links, srlg_budget).count()
+    return DisjointSearch(topology, src, dst, mode).count()
 
 
 def verify_disjoint(topology: NetworkTopology, paths: Sequence[Path],

@@ -614,7 +614,7 @@ def reference_assess(request: SliceRequest, bounds: TraitBounds,
     for dim in DIMENSIONS:
         try:
             traits[dim] = reference_normalize_trait(dim, request.trait(dim),
-                                                    bounds.bound(dim))
+                                                    getattr(bounds, dim))
         except OutOfRange as err:
             errors.append(OutOfRange(err.r, err.l, err.h, dim, request.id))
     if errors:

@@ -628,19 +628,19 @@ class TestSrlgAdmission:
     def test_derived_bounds_record_srlg_diversity(self, ts1):
         topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
         controller = Controller(topology, mode=SRLG)
-        usable = set(topology.link_by_id) - controller._blocked_links(ts1.calendar_slots)
+        blocked = controller._blocked_links(ts1.calendar_slots)
         record = controller.admit(ts1)
         assert record.state is AllocationState.ACTIVE
-        srlg_count = max_disjoint_count(topology, "A", "C", SRLG, usable_links=usable)
+        srlg_count = DisjointSearch(topology, "A", "C", SRLG, blocked_links=blocked).count()
         assert record.vector.numeric_traits["topology"].h == srlg_count == 2
-        assert max_disjoint_count(topology, "A", "C", LINK, usable_links=usable) == 3
+        assert DisjointSearch(topology, "A", "C", LINK, blocked_links=blocked).count() == 3
 
 
 class TestOneSrlgWalk:
     """An SRLG search walks its depth-first tree once: ``count()`` after
     ``paths(k)`` resumes the walk, so the two together pop the heap as
     often as ``count()`` alone, and a derived-bounds admission pops as
-    often as one ``max_disjoint_count`` on its usable links."""
+    often as one ``count()`` of a search blocking the same links."""
 
     @pytest.fixture
     def pops(self, monkeypatch):
@@ -661,9 +661,9 @@ class TestOneSrlgWalk:
             topology = random_connected_topology(rng, max_nodes=9, srlg_pool=4)
             src, dst = rng.sample(sorted(topology.nodes), 2)
             usable = {link.id for link in topology.links if rng.random() < 0.9}
-            options = {"blocked_links": set(topology.link_by_id) - usable,
-                       "srlg_budget": rng.choice((3, 20, 1000))}
-            ceiling = max_disjoint_count(topology, src, dst, LINK, usable_links=usable)
+            blocked = set(topology.link_by_id) - usable
+            options = {"blocked_links": blocked, "srlg_budget": rng.choice((3, 20, 1000))}
+            ceiling = DisjointSearch(topology, src, dst, LINK, blocked_links=blocked).count()
             if not ceiling:
                 continue
             # Beyond the ceiling paths(k) walks on past where count() stops.
@@ -685,9 +685,9 @@ class TestOneSrlgWalk:
     def test_derived_admission_pops_as_one_count(self, ts1, pops):
         topology = tagged_theta(([1], [2]), ([1], [3]), ([4], [5]))
         controller = Controller(topology, mode=SRLG)
-        usable = set(topology.link_by_id) - controller._blocked_links(ts1.calendar_slots)
+        blocked = controller._blocked_links(ts1.calendar_slots)
         assert controller.admit(ts1).state is AllocationState.ACTIVE
         admitted = len(pops)
         pops.clear()
-        max_disjoint_count(topology, "A", "C", SRLG, usable_links=usable)
+        DisjointSearch(topology, "A", "C", SRLG, blocked_links=blocked).count()
         assert admitted == len(pops) > 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import inspect
 import random
 import weakref
 from pathlib import Path as FilePath
@@ -95,21 +96,28 @@ class TestKDisjointPaths:
 
     def test_usable_links_filter(self, four_cycle):
         with pytest.raises(InsufficientDiversity) as err:
-            k_disjoint_paths(four_cycle, "A", "C", 2, LINK,
-                             usable_links={"L_AB", "L_BC"})
+            DisjointSearch(four_cycle, "A", "C", LINK,
+                           blocked_links={"L_CD", "L_DA"}).paths(2)
         assert err.value.found == 1
 
-    def test_unknown_usable_links_raise(self, four_cycle):
-        with pytest.raises(ValidationError) as caught:
-            max_disjoint_count(four_cycle, "A", "C", LINK,
-                               usable_links={"L_ZZ", "L_AB", "L_XY"})
-        assert caught.value.element == "usable_links"
-        assert caught.value.message == "unknown links ['L_XY', 'L_ZZ']"
+    def test_unknown_blocked_links_raise(self, four_cycle):
         with pytest.raises(ValidationError) as caught:
             DisjointSearch(four_cycle, "A", "C", LINK,
                            blocked_links={"L_ZZ", "L_AB", "L_XY"})
         assert caught.value.element == "blocked_links"
         assert caught.value.message == "unknown links ['L_XY', 'L_ZZ']"
+        # The endpoints are checked first.
+        with pytest.raises(ValidationError) as caught:
+            DisjointSearch(four_cycle, "A", "Z", LINK, blocked_links={"L_ZZ"})
+        assert caught.value.element == "dst"
+
+    def test_wrappers_take_no_options(self):
+        """A mask or another budget means building a ``DisjointSearch``."""
+        assert list(inspect.signature(k_disjoint_paths).parameters) == [
+            "topology", "src", "dst", "k", "mode"]
+        assert list(inspect.signature(max_disjoint_count).parameters) == [
+            "topology", "src", "dst", "mode"]
+        assert not hasattr(DisjointSearch, "usable")
 
     def test_node_disjoint_stricter_than_link(self):
         # Two link-disjoint A-C paths must share the cut node M here.
@@ -174,7 +182,7 @@ class TestSrlgDisjoint:
     def test_budget_exhaustion_is_flagged(self):
         topology = self.srlg_theta([([1], [2]), ([3], [4]), ([5], [6])])
         with pytest.raises(InsufficientDiversity) as err:
-            k_disjoint_paths(topology, "A", "C", 3, SRLG, srlg_budget=2)
+            DisjointSearch(topology, "A", "C", SRLG, srlg_budget=2).paths(3)
         assert err.value.budget_exhausted
 
     def test_success_implies_link_disjoint(self):
@@ -192,8 +200,8 @@ class TestSrlgDisjoint:
             for k in (1, 2, 3):
                 expected = exists_k_disjoint(topology, src, dst, k, SRLG)
                 try:
-                    paths = k_disjoint_paths(topology, src, dst, k, SRLG,
-                                             srlg_budget=100000)
+                    paths = DisjointSearch(topology, src, dst, SRLG,
+                                           srlg_budget=100000).paths(k)
                     assert expected, (topology, k)
                     assert verify_disjoint(topology, paths, SRLG)
                 except InsufficientDiversity as err:
@@ -250,18 +258,18 @@ class TestMaxDisjointCount:
             topology = random_connected_topology(rng, max_nodes=9, srlg_pool=4)
             usable = {link.id for link in topology.links if rng.random() < 0.9}
             src, dst = rng.sample(sorted(topology.nodes), 2)
-            ceiling = max_disjoint_count(topology, src, dst, LINK, usable_links=usable)
+            blocked = blocked_by(topology, usable)
+            ceiling = DisjointSearch(topology, src, dst, LINK, blocked_links=blocked).count()
             for budget in (1, 2, 3, 5, 8, 20, 1000):
+                options = {"blocked_links": blocked, "srlg_budget": budget}
                 probed = 0
                 for k in range(1, ceiling + 1):
                     try:
-                        k_disjoint_paths(topology, src, dst, k, SRLG,
-                                         usable_links=usable, srlg_budget=budget)
+                        DisjointSearch(topology, src, dst, SRLG, **options).paths(k)
                     except InsufficientDiversity:
                         break
                     probed = k
-                assert max_disjoint_count(topology, src, dst, SRLG, usable_links=usable,
-                                          srlg_budget=budget) == probed
+                assert DisjointSearch(topology, src, dst, SRLG, **options).count() == probed
 
 
 class TestVerifyDisjoint:
@@ -342,9 +350,8 @@ class TestDisjointSearch:
             usable = {link.id for link in topology.links if rng.random() < 0.85}
             src, dst = rng.sample(sorted(topology.nodes), 2)
             for mode in (LINK, NODE):
-                options = {"usable_links": usable}
                 blocked = blocked_by(topology, usable)
-                most = max_disjoint_count(topology, src, dst, mode, **options)
+                most = DisjointSearch(topology, src, dst, mode, blocked_links=blocked).count()
                 grown = DisjointSearch(topology, src, dst, mode, blocked_links=blocked)
                 for k in range(1, most + 2):
                     search = DisjointSearch(topology, src, dst, mode, blocked_links=blocked)
@@ -354,8 +361,6 @@ class TestDisjointSearch:
                         assert k == most + 1 and err.found == most
                     else:
                         assert k <= most
-                        assert paths == k_disjoint_paths(topology, src, dst, k,
-                                                         mode, **options)
                         assert grown.paths(k) == paths
                     assert search.count() == most
                 assert grown.count() == most
@@ -738,8 +743,8 @@ class TestVerifyDisjointReference:
         assert cases > 1000 and 0 < rejected < cases
 
 
-class TestUsableLinksTypes:
-    """``usable_links`` may be any iterable of link ids: the search sees
+class TestBlockedLinksTypes:
+    """``blocked_links`` may be any iterable of link ids: the search sees
     the same set whatever its container."""
 
     CONTAINERS = (list, tuple, set, frozenset)
@@ -752,18 +757,17 @@ class TestUsableLinksTypes:
                         if mode is SRLG else
                         validate_topology(random_graph_dict(rng, max_nodes=60)))
             src, dst = rng.sample(sorted(topology.nodes), 2)
-            ids = [link.id for link in topology.links if rng.random() < 0.8]
+            ids = [link.id for link in topology.links if rng.random() < 0.2]
             rng.shuffle(ids)
             outcomes = []
             for container in self.CONTAINERS:
-                usable = container(ids + ids[:2])  # repeats are harmless
+                blocked = container(ids + ids[:2])  # repeats are harmless
+                search = DisjointSearch(topology, src, dst, mode, blocked_links=blocked)
                 try:
-                    paths = k_disjoint_paths(topology, src, dst, 2, mode,
-                                             usable_links=usable)
+                    paths = search.paths(2)
                 except InsufficientDiversity as err:
                     paths = err.detail()
-                outcomes.append((paths, max_disjoint_count(topology, src, dst, mode,
-                                                           usable_links=usable)))
+                outcomes.append((paths, search.count()))
             assert outcomes == [outcomes[0]] * len(self.CONTAINERS)
 
     def test_unknown_ids_raise_the_same_error(self, four_cycle):
@@ -776,12 +780,12 @@ class TestUsableLinksTypes:
         for container in self.CONTAINERS:
             for mode in (LINK, NODE, SRLG):
                 with pytest.raises(ValidationError) as caught:
-                    k_disjoint_paths(four_cycle, "A", "C", 2, mode,
-                                     usable_links=container(["L_ZZ", "L_AB", "L_XY", "L_ZZ"]))
+                    DisjointSearch(four_cycle, "A", "C", mode, blocked_links=container(
+                        ["L_ZZ", "L_AB", "L_XY", "L_ZZ"]))
                 messages.add((caught.value.element, caught.value.message))
-                found = [(k_disjoint_paths(topology, "A", "C", 1, mode,
-                                           usable_links=["L_BC", "L_CD", "L_DA"]),
+                found = [(DisjointSearch(topology, "A", "C", mode,
+                                         blocked_links=["L_AB"]).paths(1),
                           max_disjoint_count(topology, "A", "C", mode))
                          for topology in (four_cycle, fresh)]
                 assert found[0] == found[1], (container, mode)
-        assert messages == {("usable_links", "unknown links ['L_XY', 'L_ZZ']")}
+        assert messages == {("blocked_links", "unknown links ['L_XY', 'L_ZZ']")}

@@ -28,8 +28,8 @@ import math
 import random
 from unittest import mock
 
-from tnsc import (DisjointnessMode, DisjointSearch, controller, max_disjoint_count,
-                  report_to_json, run_scenario, validate_topology)
+from tnsc import (DisjointnessMode, DisjointSearch, controller, report_to_json,
+                  run_scenario, validate_topology)
 from tnsc.errors import InsufficientDiversity
 from tnsc.pathfind import DEFAULT_SRLG_BUDGET
 from tnsc.scenario import scenario_from_dict
@@ -48,8 +48,8 @@ SRLG = DisjointnessMode.SRLG_DISJOINT
 
 class ReferenceSrlgSearch:
     """``tnsc.DisjointSearch`` in SRLG mode, each call a fresh reference
-    search. The count asks for the link-mode maximum that
-    ``max_disjoint_count`` gives, which the engine differential checks."""
+    search. The count asks for the link-mode maximum that a link-mode
+    ``DisjointSearch`` counts, which the engine differential checks."""
 
     def __init__(self, topology, src, dst, mode=SRLG, *, blocked_links=(),
                  srlg_budget=DEFAULT_SRLG_BUDGET):
@@ -69,8 +69,8 @@ class ReferenceSrlgSearch:
 
     def count(self) -> int:
         self.counted = True
-        ceiling = max_disjoint_count(self.topology, self.src, self.dst,
-                                     usable_links=self.usable)
+        ceiling = DisjointSearch(self.topology, self.src, self.dst,
+                                 blocked_links=self.blocked).count()
         try:
             reference_srlg_disjoint(self.topology, self.src, self.dst, ceiling,
                                     self.usable, self.budget)
