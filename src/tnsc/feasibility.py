@@ -84,7 +84,7 @@ class FeasibilityVector(_VectorFields):
             raise UnknownDimension(str(tuple(numeric_traits)))
         for label, trait in numeric_traits.items():
             if not 0.0 <= trait.value <= 1.0:
-                raise OutOfRange(trait.raw, trait.l, trait.h, dimension=label)
+                raise OutOfRange(trait.raw, trait.l, trait.h, label)
         return tuple.__new__(cls, (slice_id, MappingProxyType(dict(boolean_traits)),
                                    numeric_traits))
 
@@ -138,8 +138,7 @@ def assess(request: SliceRequest, bounds: TraitBounds,
     trait is read and range-checked once; only values in range normalize."""
     traits: dict[str, TraitValue] = {}
     errors = []
-    for dim in DIMENSIONS:
-        r = request.trait(dim)
+    for dim, r in zip(DIMENSIONS, request.traits):
         bound = getattr(bounds, dim)
         l, h = bound.l, bound.h
         if h is None:

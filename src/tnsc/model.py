@@ -140,14 +140,10 @@ class SliceRequest(_RequestFields):
     def _make(cls, iterable: Iterable) -> SliceRequest:
         return cls(*iterable)
 
-    def trait(self, dimension: str) -> int:
-        if dimension == "topology":
-            return self.disjoint_paths
-        if dimension == "device":
-            return self.client_ports.count
-        if dimension == "data_plane":
-            return self.calendar_slots
-        raise KeyError(dimension)
+    @property
+    def traits(self) -> tuple[int, int, int]:
+        """The numeric traits in :data:`DIMENSIONS` order."""
+        return self.disjoint_paths, self.client_ports.count, self.calendar_slots
 
 
 @dataclass(frozen=True)
@@ -195,12 +191,8 @@ class TraitBounds:
 
 
 #: Derived-mode configuration placeholder: floors only, h resolved per request.
-DERIVED_BOUNDS = TraitBounds(
-    mode=BoundsMode.DERIVED,
-    topology=Bound(2, None),
-    device=Bound(1, None),
-    data_plane=Bound(1, None),
-)
+DERIVED_BOUNDS = TraitBounds(BoundsMode.DERIVED, **{
+    dim: Bound(floor, None) for dim, floor in DIMENSION_FLOORS.items()})
 
 
 @dataclass(frozen=True)
@@ -447,8 +439,7 @@ def bounds_from_dict(raw: Mapping) -> TraitBounds:
         entry = _as_object(raw.get(dim), dim, "static bounds")
         bounds[dim] = Bound(l=_as_int(entry.get("l"), dim, "l"),
                             h=_as_int(entry.get("h"), dim, "h"))
-    return TraitBounds(mode=mode, topology=bounds["topology"],
-                       device=bounds["device"], data_plane=bounds["data_plane"])
+    return TraitBounds(mode, **bounds)
 
 
 # ---------------------------------------------------------------------------

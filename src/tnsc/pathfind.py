@@ -303,7 +303,7 @@ class DisjointSearch:
                 raise InsufficientDiversity(k, found, self._spent > self.srlg_budget)
             paths = list(self._sets[k])
         elif self._augment_to(k, self._shortest) < k:
-            raise InsufficientDiversity(requested=k, found=self._flow)
+            raise InsufficientDiversity(k, self._flow)
         else:
             paths = self._decompose(k)
 

@@ -276,14 +276,9 @@ def _vector_payload(vector: FeasibilityVector | None):
 
 
 def _request_payload(request: SliceRequest) -> dict:
-    return {
-        "src": request.src,
-        "dst": request.dst,
-        "control": request.control,
-        "topology": request.disjoint_paths,
-        "device": request.client_ports.count,
-        "data_plane": request.calendar_slots,
-    }
+    payload = {"src": request.src, "dst": request.dst, "control": request.control}
+    payload.update(zip(DIMENSIONS, request.traits))
+    return payload
 
 
 def _index_fields(index: FeasibilityIndex | None) -> dict:
@@ -402,9 +397,9 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
               if derived and topology is not None else None)
     rows = []
     for request in requests:
-        resolved = bounds
-        if derived:
-            try:
+        resolved, index = bounds, None
+        try:
+            if derived:
                 if topology is None:
                     raise ValidationError("bounds",
                                           "derived bounds require a topology")
@@ -414,39 +409,29 @@ def evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
                 resolved = derive_bounds(
                     request, DisjointSearch(topology, request.src, request.dst, mode),
                     ledger.least_residual(0), ledger.residual_ports)
-            except TnscError as err:
-                row = {"slice": request.id, "control": request.control,
-                       "status": err.reason, "error": err.detail(),
-                       "index": None, "index_display": None}
-                for dim in DIMENSIONS:
-                    row[dim] = {"r": request.trait(dim), "l": None, "h": None,
-                                "value": None}
-                rows.append(row)
-                continue
-
-        assessment = assess(request, resolved, weights)
-        traits = assessment.traits
-        if not assessment.errors:
-            index = assessment.index.value
-            row = {"slice": request.id, "control": request.control, "status": "ok",
-                   "error": None, "index": index, "index_display": _round3(index)}
-            for dim, (r, l, h, value) in traits.items():
-                row[dim] = {"r": r, "l": l, "h": h, "value": value}
-            rows.append(row)
-            continue
-        # The row shows each value that normalizes; the last failing
-        # dimension's error stands, without the slice id the row names.
-        last = assessment.errors[-1]
-        row = {"slice": request.id, "control": request.control, "status": "OUT_OF_RANGE",
-               "error": {"r": last.r, "l": last.l, "h": last.h, "dimension": last.dimension},
-               "index": None, "index_display": None}
-        failed = iter(assessment.errors)
-        for dim in DIMENSIONS:
-            if dim in traits:
-                r, l, h, value = traits[dim]
+        except TnscError as err:
+            status, error = err.reason, err.detail()
+            cells = {dim: (r, None, None, None) for dim, r in zip(DIMENSIONS, request.traits)}
+        else:
+            assessment = assess(request, resolved, weights)
+            cells = assessment.traits
+            if not assessment.errors:
+                status, error, index = "ok", None, assessment.index.value
             else:
-                err = next(failed)
-                r, l, h, value = err.r, err.l, err.h, None
+                # The row shows each value that normalizes and each failing
+                # dimension's (r, l, h); the last error stands, without the
+                # slice id (an OutOfRange's last field) that the row names.
+                cells = cells.copy()
+                for err in assessment.errors:
+                    r, l, h, dim, _ = err.args
+                    cells[dim] = r, l, h, None
+                status = "OUT_OF_RANGE"
+                error = {"r": r, "l": l, "h": h, "dimension": dim}
+        row = {"slice": request.id, "control": request.control, "status": status,
+               "error": error, "index": index,
+               "index_display": None if index is None else _round3(index)}
+        for dim in DIMENSIONS:
+            r, l, h, value = cells[dim]
             row[dim] = {"r": r, "l": l, "h": h, "value": value}
         rows.append(row)
     return rows

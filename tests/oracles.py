@@ -611,10 +611,9 @@ def reference_assess(request: SliceRequest, bounds: TraitBounds,
     per failing dimension."""
     traits: dict[str, TraitValue] = {}
     errors = []
-    for dim in DIMENSIONS:
+    for dim, raw in zip(DIMENSIONS, request.traits):
         try:
-            traits[dim] = reference_normalize_trait(dim, request.trait(dim),
-                                                    getattr(bounds, dim))
+            traits[dim] = reference_normalize_trait(dim, raw, getattr(bounds, dim))
         except OutOfRange as err:
             errors.append(OutOfRange(err.r, err.l, err.h, dim, request.id))
     if errors:
@@ -876,8 +875,8 @@ def reference_evaluate(requests: Sequence[SliceRequest], bounds: TraitBounds,
             else:
                 resolved = bounds
         except TnscError as err:
-            for dim in DIMENSIONS:
-                row[dim]["r"] = request.trait(dim)
+            for dim, raw in zip(DIMENSIONS, request.traits):
+                row[dim]["r"] = raw
             row["status"] = err.reason
             row["error"] = err.detail()
             rows.append(row)

@@ -172,6 +172,24 @@ def test_simulate_writes_report(tmp_path, capsys):
     assert out.read_text() == (DATA / "five_node_failure.report.json").read_text()
 
 
+def test_simulate_linkless_topology_rejects(tmp_path):
+    """A valid scenario whose topology has no link: the arrival is rejected
+    for want of paths, and the run exits 0 rather than as an internal error."""
+    device = {"ports": [{"type": "GE", "gbps": 10, "count": 4}]}
+    request = {"id": "TS_1", "src": "A", "dst": "B", "control": True,
+               "disjoint_paths": 2, "client_ports": {"type": "GE", "gbps": 10, "count": 1},
+               "calendar_slots": 1}
+    scenario = {**SCENARIO, "mode": "link_disjoint",
+                "topology": {"nodes": ["A", "B"], "links": [],
+                             "devices": [{"node": "A", **device}, {"node": "B", **device}]},
+                "events": [{"seq": 1, "type": "request_arrival", "request": request}]}
+    path, out = tmp_path / "linkless.json", tmp_path / "report.json"
+    path.write_text(json_text(scenario))
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert (entry["outcome"], entry["reason"]) == ("rejected", "InsufficientDiversity")
+
+
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
 def test_unwritable_out_exits_one(command, inputs, tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "out.json"

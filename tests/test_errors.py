@@ -8,7 +8,9 @@ each class has fixed cases here, and a class added without one fails
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,15 @@ def test_error_case(cls, args, kwargs, text, detail, attributes):
     with pytest.raises(cls) as caught:
         raise err
     assert f"{caught.value.reason}: {caught.value}" == f"{cls.__name__}: {text}"
+
+
+def test_package_builds_errors_by_position():
+    """A keyword call binds through the signature, several times slower
+    than a positional one, so the package builds its errors by position."""
+    names = {cls.__name__ for cls in SHAPES}
+    package = Path(errors.__file__).parent
+    keyword_calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and node.keywords
+                     and getattr(node.func, "id", None) in names]
+    assert keyword_calls == []

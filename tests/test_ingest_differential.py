@@ -55,7 +55,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from tnsc.errors import TnscError
-from tnsc.model import DIMENSIONS, request_from_dict, validate_topology
+from tnsc.model import DIMENSIONS, SliceRequest, request_from_dict, validate_topology
 from tnsc.scenario import scenario_from_dict
 
 from . import oracles
@@ -205,12 +205,20 @@ def _failure(err: Exception) -> tuple:
     return ("error", type(err).__name__, reason, str(err), repr(detail))
 
 
+def _traits(request) -> tuple:
+    """The numeric traits in DIMENSIONS order: a library request's
+    ``traits``, or the frozen reference's ``trait()`` per dimension."""
+    if isinstance(request, SliceRequest):
+        return request.traits
+    return tuple(request.trait(dim) for dim in DIMENSIONS)
+
+
 def _request_values(request) -> tuple:
     ports = request.client_ports
     values = [request.id, request.src, request.dst, request.control,
               request.disjoint_paths, ports.port_type, ports.gbps, ports.count,
               ports.label, request.calendar_slots, request.weights,
-              *(request.trait(dim) for dim in DIMENSIONS)]
+              *_traits(request)]
     if request.weights is not None:
         values += [item for pair in request.weights.items() for item in pair]
     return tuple(map(_typed, values))

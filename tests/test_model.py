@@ -203,7 +203,7 @@ class TestRequestValueSemantics:
         assert ports.label == "10GE@10"
         request = SliceRequest("TS_1", "A", "C", True, 2, ports, 2)
         assert request == make_request() == ("TS_1", "A", "C", True, 2, ports, 2, None)
-        assert request.trait("device") == 15
+        assert request.traits == (2, 15, 2)
 
     def test_replace_and_make_check_again(self):
         request = make_request()
@@ -252,15 +252,36 @@ class TestTraitBounds:
             "data_plane": {"l": 1, "h": 20},
         })
         assert bounds.topology == Bound(2, 4)
+        assert bounds == TraitBounds(BoundsMode.STATIC, Bound(2, 4), Bound(1, 24),
+                                     Bound(1, 20))
         derived = bounds_from_dict({"mode": "derived"})
         assert derived.mode is BoundsMode.DERIVED
         assert derived.topology.h is None
+        assert derived is DERIVED_BOUNDS
+        assert derived == TraitBounds(BoundsMode.DERIVED, Bound(2, None), Bound(1, None),
+                                      Bound(1, None))
+
+    def test_static_requires_h(self):
+        """Only a library caller can leave a static h unset: a bounds file's
+        h is parsed as an int."""
+        with pytest.raises(ValidationError) as caught:
+            TraitBounds(BoundsMode.STATIC, Bound(2, None), Bound(1, 24), Bound(1, 20))
+        assert caught.value.args == ("topology", "static bounds require h")
 
 
 class TestPath:
     def test_repeated_node_rejected(self):
         with pytest.raises(ValidationError):
             Path(nodes=("A", "B", "A"), links=("L1", "L2"))
+
+    @pytest.mark.parametrize("nodes, message", [
+        (("A",), "a path needs at least two nodes"),
+        (("A", "B"), "link count must be node count minus one"),
+    ])
+    def test_short_or_unlinked_path_rejected(self, nodes, message):
+        with pytest.raises(ValidationError) as caught:
+            Path(nodes, ())
+        assert caught.value.args == ("path", message)
 
 
 def fresh_view(topology, request, mode=DisjointnessMode.LINK_DISJOINT):

@@ -220,6 +220,18 @@ class TestMaxDisjointCount:
         topology = make_topology("ABC", [("L1", "A", "B")])
         assert max_disjoint_count(topology, "A", "C", LINK) == 0
 
+    @pytest.mark.parametrize("mode", list(DisjointnessMode))
+    def test_linkless_topology_has_no_path(self, mode):
+        """With no link at all, link mode's residual arc list is empty: the
+        shortest-path search reports the sink unreachable, and neither the
+        count nor a request for one path divides by the empty list."""
+        topology = make_topology("AB", [])
+        assert max_disjoint_count(topology, "A", "B", mode) == 0
+        with pytest.raises(InsufficientDiversity) as caught:
+            k_disjoint_paths(topology, "A", "B", 1, mode)
+        assert caught.value.detail() == {"requested": 1, "found": 0,
+                                         "budget_exhausted": False}
+
     def test_srlg_mode_bounded_by_link_mode(self):
         topology = make_topology(
             "ABCD",
@@ -301,6 +313,10 @@ class TestVerifyDisjoint:
         paths = (Path(("A", "B", "C"), ("L_AB", "L_BC")),
                  Path(("B", "C"), ("L_BC",)))
         assert not verify_disjoint(four_cycle, paths, LINK)
+
+    @pytest.mark.parametrize("mode", list(DisjointnessMode))
+    def test_rejects_empty_set(self, four_cycle, mode):
+        assert verify_disjoint(four_cycle, [], mode) is False
 
 
 class TestOracleEquivalence:

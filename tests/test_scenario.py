@@ -422,27 +422,26 @@ class TestEvaluate:
     def test_each_row_reads_each_trait_once(self, monkeypatch, table2_bounds,
                                             four_cycle, ts1):
         """An ok row, an out-of-range row, a derived row and a row whose
-        bounds derivation failed each read every trait once."""
+        bounds derivation failed each read the request's traits once."""
         from tnsc import DERIVED_BOUNDS
 
         cases = [([ts1], table2_bounds, None),
                  ([make_request("TS_hot", p=5)], table2_bounds, None),
                  ([ts1], DERIVED_BOUNDS, four_cycle),
                  ([make_request(src="Z")], DERIVED_BOUNDS, four_cycle)]
-        expected = [[request.trait(dim) for dim in DIMENSIONS]
-                    for (request,), _, _ in cases]
+        expected = [list(request.traits) for (request,), _, _ in cases]
         calls = []
-        original = SliceRequest.trait
+        original = SliceRequest.traits
 
-        def counting(self, dimension):
-            calls.append(dimension)
-            return original(self, dimension)
+        def counting(self):
+            calls.append(self.id)
+            return original.fget(self)
 
-        monkeypatch.setattr(SliceRequest, "trait", counting)
+        monkeypatch.setattr(SliceRequest, "traits", property(counting))
         for (requests, bounds, topology), raw in zip(cases, expected):
             calls.clear()
             (row,) = evaluate(requests, bounds, topology=topology)
-            assert sorted(calls) == sorted(DIMENSIONS)
+            assert calls == [requests[0].id]
             assert [row[dim]["r"] for dim in DIMENSIONS] == raw
 
     def test_rank_rows_order_and_tie_break(self, table2_bounds):
