@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     except TnscError as err:
         print(f"tnsc: {err.reason}: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:  # a defect, not bad input
         print(f"tnsc: internal error: {err}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,10 @@ bit-identical to its prior state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AlreadyReleased,
@@ -65,26 +67,38 @@ class EventKind(str, Enum):
     LINK_UP = "link_up"
 
 
-#: The field that carries each kind of event's payload.
-_PAYLOAD = {EventKind.REQUEST_ARRIVAL: "request", EventKind.REQUEST_RELEASE: "slice_id",
-            EventKind.LINK_DOWN: "link_id", EventKind.LINK_UP: "link_id"}
+#: Each kind by its value: a member, or a str holding a value, finds it.
+_KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
 
 
-@dataclass(frozen=True)
-class Event:
-    """One step of a scenario; seq values must strictly increase."""
-
+class _EventFields(NamedTuple):
     seq: int
     kind: EventKind
     request: SliceRequest | None = None
     slice_id: str | None = None
     link_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if type(self.kind) is not EventKind:  # an unknown value raises ValueError
-            object.__setattr__(self, "kind", EventKind(self.kind))
-        if getattr(self, _PAYLOAD[self.kind]) is None:
-            raise ValueError(f"event {self.seq} lacks the {self.kind.value} payload")
+
+class Event(_EventFields):
+    """One step of a scenario; seq values must strictly increase. A named
+    tuple whose constructor makes ``kind`` a member and checks its payload;
+    ``_replace``, ``_make``, pickle and ``copy`` go through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, kind: EventKind, request: SliceRequest | None = None,
+                slice_id: str | None = None, link_id: str | None = None) -> Event:
+        if type(kind) is not EventKind:  # an unknown value raises ValueError
+            kind = EventKind(kind)
+        payload = (request if kind is EventKind.REQUEST_ARRIVAL
+                   else slice_id if kind is EventKind.REQUEST_RELEASE else link_id)
+        if payload is None:
+            raise ValueError(f"event {seq} lacks the {kind.value} payload")
+        return tuple.__new__(cls, (seq, kind, request, slice_id, link_id))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Event:
+        return cls(*iterable)
 
 
 @dataclass

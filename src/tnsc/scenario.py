@@ -23,6 +23,7 @@ from .controller import (
     ReconfigPolicy,
     ReconfigOrder,
     ResourceLedger,
+    _KIND_BY_VALUE,
 )
 from .errors import AlreadyReleased, ParseError, TnscError, UnknownSlice, ValidationError
 from .feasibility import FeasibilityIndex, FeasibilityVector, assess, rank_key
@@ -213,15 +214,17 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
                             _as_choice(FailurePolicy, on_failure, "policy", "on_failure"))
 
     events: list[Event] = []
-    last_seq: int | None = None
     arrivals: set[str] = set()
     for entry in _as_list(raw.get("events", []), "scenario", "events"):
         entry = _as_object(entry, "events", "event")
         seq = _as_int(entry.get("seq"), "events", "seq")
-        if last_seq is not None and seq <= last_seq:
+        if events and seq <= events[-1].seq:
             raise ValidationError(f"event {seq}", "seq values must strictly increase")
-        last_seq = seq
-        kind = _as_choice(EventKind, entry.get("type"), f"event {seq}", "type")
+        value = entry.get("type")
+        try:
+            kind = _KIND_BY_VALUE[value]
+        except (KeyError, TypeError):  # a miss, or an unhashable value
+            kind = _as_choice(EventKind, value, f"event {seq}", "type")
         if kind is EventKind.REQUEST_ARRIVAL:
             request = request_from_dict(entry.get("request"))
             for endpoint in (request.src, request.dst):
@@ -233,13 +236,15 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
             arrivals.add(request.id)
             events.append(Event(seq, kind, request))
         elif kind is EventKind.REQUEST_RELEASE:
-            slice_id = _as_name(entry.get("slice"), f"event {seq}", "slice")
+            if type(slice_id := entry.get("slice")) is not str or not slice_id:
+                slice_id = _as_name(slice_id, f"event {seq}", "slice")
             if slice_id not in arrivals:
                 raise ValidationError(f"event {seq}",
                                       f"release of unknown slice {slice_id!r}")
             events.append(Event(seq, kind, None, slice_id))
         else:
-            link_id = _as_name(entry.get("link"), f"event {seq}", "link")
+            if type(link_id := entry.get("link")) is not str or not link_id:
+                link_id = _as_name(link_id, f"event {seq}", "link")
             if link_id not in topology.link_by_id:
                 raise ValidationError(f"event {seq}", f"unknown link {link_id!r}")
             events.append(Event(seq, kind, None, None, link_id))

@@ -148,6 +148,21 @@ def test_paths_insufficient_diversity_fails(inputs, capsys):
     assert "InsufficientDiversity" in capsys.readouterr().err
 
 
+def test_internal_error_exits_two(inputs, monkeypatch, capsys):
+    """Any exception that is not a TnscError is a defect: one line on
+    stderr, exit 2. The cached parser bound ``_cmd_paths`` when it was
+    built, so patch its callee."""
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "k_disjoint_paths", boom)
+    code = main(["paths", "--topology", inputs["topology"], "--src", "A",
+                 "--dst", "C"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "tnsc: internal error: boom\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--src", "A", "--dst", "Z"], "dst: unknown node 'Z'"),
     (["--src", "A", "--dst", "A"], "dst: src and dst must differ"),

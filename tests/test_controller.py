@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import heapq
+import pickle
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,6 +186,50 @@ class TestRelease:
         controller.admit(make_request("TS_wide", p=3))
         with pytest.raises(AlreadyReleased):
             controller.release("TS_wide")
+
+
+class TestEvent:
+    """``Event`` is a named tuple whose constructor converts and checks the
+    kind; every way of building one goes through it."""
+
+    def test_positional_and_keyword(self):
+        event = Event(1, EventKind.LINK_DOWN, None, None, "L_AB")
+        assert event == Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_AB")
+        assert event == (1, EventKind.LINK_DOWN, None, None, "L_AB")
+        assert (event.seq, event.kind, event.request, event.slice_id,
+                event.link_id) == tuple(event)
+
+    def test_string_kind_becomes_member(self):
+        assert Event(1, "link_up", link_id="L_AB").kind is EventKind.LINK_UP
+
+    def test_replace_and_make_check_again(self):
+        event = Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_AB")
+        assert event._replace(kind="link_up").kind is EventKind.LINK_UP
+        assert Event._make([2, "link_up", None, None, "L_AB"]).kind is EventKind.LINK_UP
+        with pytest.raises(ValueError, match="^event 1 lacks the link_down payload$"):
+            event._replace(link_id=None)
+        with pytest.raises(ValueError, match="'bogus' is not a valid EventKind"):
+            event._replace(kind="bogus")
+
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_clones_check_again(self, clone):
+        event = Event(seq=3, kind=EventKind.REQUEST_RELEASE, slice_id="TS_1")
+        twin = clone(event)
+        assert twin == event and type(twin) is Event
+        assert twin.kind is EventKind.REQUEST_RELEASE
+        # Built past the constructor, an event without its payload cannot be cloned.
+        unchecked = tuple.__new__(Event, (3, EventKind.REQUEST_RELEASE, None, None, None))
+        with pytest.raises(ValueError, match="^event 3 lacks the request_release payload$"):
+            clone(unchecked)
+
+    def test_fields_are_read_only(self):
+        event = Event(seq=1, kind=EventKind.LINK_DOWN, link_id="L_AB")
+        with pytest.raises(AttributeError):
+            event.link_id = "L_BC"
+        with pytest.raises(AttributeError):
+            event.note = "x"
 
 
 class TestApplyEvent:

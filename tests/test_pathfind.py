@@ -318,6 +318,20 @@ class TestVerifyDisjoint:
     def test_rejects_empty_set(self, four_cycle, mode):
         assert verify_disjoint(four_cycle, [], mode) is False
 
+    @pytest.mark.parametrize("mode", list(DisjointnessMode))
+    def test_rejects_repeated_node(self, four_cycle, mode):
+        """``Path`` forbids a repeated node, but the checker vouches for any
+        path-shaped input."""
+        loop = SimpleNamespace(nodes=("A", "B", "A"), links=("L_AB", "L_AB"))
+        assert verify_disjoint(four_cycle, [loop], mode) is False
+
+    @pytest.mark.parametrize("mode", list(DisjointnessMode))
+    def test_paths_raise_when_the_check_fails(self, four_cycle, mode):
+        with mock.patch.object(pathfind, "verify_disjoint", return_value=False):
+            with pytest.raises(RuntimeError, match="^internal error: computed paths "
+                                                   "fail disjointness check$"):
+                DisjointSearch(four_cycle, "A", "C", mode).paths(2)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("mode", [LINK, NODE])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -34,7 +36,7 @@ from tnsc import (
     verify_disjoint,
 )
 from tnsc.errors import ParseError, StaleSequence, TnscError, ValidationError
-from tnsc.model import DIMENSIONS
+from tnsc.model import DIMENSIONS, _as_choice
 
 from .conftest import make_request
 
@@ -349,7 +351,7 @@ class TestEnumValuesAsStrings:
         scenario = load_scenario(str(DATA / f"{name}.json"))
         runs = []
         for events in (scenario.events,
-                       [replace(event, kind=event.kind.value) for event in scenario.events]):
+                       [event._replace(kind=event.kind.value) for event in scenario.events]):
             controller = Controller(scenario.topology, scenario.bounds, scenario.mode,
                                     scenario.policy)
             affected = []
@@ -365,6 +367,57 @@ class TestEnumValuesAsStrings:
     def test_event_without_payload_raises(self, kind):
         with pytest.raises(ValueError, match=f"event 1 lacks the {kind} payload"):
             Event(seq=1, kind=kind)
+
+
+class _Name(str):
+    """A str subclass, as a JSON decoder with its own string type may give."""
+
+
+class TestEventKindTable:
+    """The event loop finds a kind in a table and builds no element name
+    while the event is valid; a value that misses gets ``_as_choice``'s error."""
+
+    @pytest.mark.parametrize("name", ["five_node_failure", "grid_node_disjoint"])
+    def test_no_enum_call_per_event(self, name):
+        meta = type(EventKind)
+        called = []
+        original = meta.__call__
+
+        def spy(cls, *args, **kwargs):
+            called.append(cls)
+            return original(cls, *args, **kwargs)
+
+        with mock.patch.object(meta, "__call__", spy):
+            scenario = load_scenario(str(DATA / f"{name}.json"))
+        assert scenario.events and DisjointnessMode in called
+        assert EventKind not in called
+
+    @pytest.mark.parametrize("value", [
+        None, [], {}, "", "LINK_DOWN", 7, True, math.nan, EventKind.LINK_UP,
+        _Name("link_down"),
+    ], ids=repr)
+    def test_same_kind_or_error_as_the_enum(self, value):
+        raw = json.loads((DATA / "five_node_failure.json").read_text(encoding="utf-8"))
+        raw["events"] = [{"seq": 1, "type": value, "link": "L_AB"}]
+        try:
+            expected = _as_choice(EventKind, value, "event 1", "type")
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as caught:
+                scenario_from_dict(raw)
+            assert (caught.value.element, str(caught.value), caught.value.detail()) == \
+                (err.element, str(err), err.detail())
+        else:
+            (event,) = scenario_from_dict(raw).events
+            assert event.kind is expected
+
+    @pytest.mark.parametrize("field, kind", [("slice", "request_release"),
+                                             ("link", "link_down")])
+    def test_str_subclass_names_pass(self, field, kind):
+        raw = json.loads((DATA / "five_node_failure.json").read_text(encoding="utf-8"))
+        name = _Name(raw["events"][0]["request"]["id"] if field == "slice" else "L_AB")
+        raw["events"] = raw["events"][:1] + [{"seq": 9, "type": kind, field: name}]
+        event = scenario_from_dict(raw).events[-1]
+        assert (event.slice_id or event.link_id) is name
 
 
 class TestEvaluate:
